@@ -29,11 +29,13 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
   DSIM_CHECK_MSG(shards >= 1, "chunk-store service needs at least one shard");
   DSIM_CHECK_MSG(lookup_batch >= 1,
                  "lookup batch must carry at least one key per RPC");
-  if (erasure_.enabled()) {
-    placement_.enable_erasure(erasure_.k, erasure_.m);
-    if (erasure_.cold_enabled()) {
-      placement_.set_cold_profile(erasure_.cold_k, erasure_.cold_m);
-    }
+  if (erasure_.k == 0) {  // replication: the (1, R-1) profile
+    erasure_.k = 1;
+    erasure_.m = replicas - 1;
+  }
+  placement_.set_profile(erasure_.k, erasure_.m);
+  if (erasure_.cold_enabled()) {
+    placement_.set_cold_profile(erasure_.cold_k, erasure_.cold_m);
   }
   shards_.reserve(static_cast<size_t>(shards));
   endpoints_.reserve(static_cast<size_t>(shards));
@@ -364,14 +366,10 @@ void ChunkStoreService::queue_store(NodeId from, TenantId tenant,
   // physical writes land on the placement homes' node devices, charged by
   // the caller against the homes the StoreReply returns — the shard queue
   // is the metadata path, so store bursts do not stall other ranks' probes
-  // beyond their index share. Under erasure the wire carries all k+m
-  // fragments — the (k+m)/k parity overhead is paid in NIC egress as well
-  // as device bytes.
+  // beyond their index share. The wire carries what the profile ships
+  // (erasure::wire_bytes: every fragment, or one copy at k = 1).
   const u64 wire_bytes =
-      erasure_.enabled()
-          ? erasure::fragment_bytes(charged_bytes, erasure_.k) *
-                static_cast<u64>(erasure_.k + erasure_.m)
-          : charged_bytes;
+      erasure::wire_bytes(charged_bytes, erasure_.k, erasure_.m);
   auto sreq =
       make_request(from, params::kRpcHeaderBytes + wire_bytes,
                    params::kRpcHeaderBytes,
@@ -651,10 +649,10 @@ int ChunkStoreService::handle_node_death(NodeId node) {
   // (fail_node's ground truth), but a death declared by membership alone
   // must land there too before heal scans run.
   placement_.fail_node(node);
-  // Degraded (some alive homes, fewer than R — or >= k but fewer than k+m
-  // clean fragments) chunks are healable — kick the daemon. Fully lost
-  // chunks are not: those wait for the encode path's forward-heal
-  // (StoreOp::kRestore) at the next generation.
+  // Degraded (>= k but fewer than k+m clean fragments) chunks are
+  // healable — kick the daemon. Fully lost chunks are not: those wait for
+  // the encode path's forward-heal (StoreOp::kRestore) at the next
+  // generation.
   if (redundant()) schedule_heal_scan();
   // Re-home every shard stranded on the dead endpoint to the next live
   // node in its rendezvous order, then replay its parked requests there in
@@ -701,86 +699,27 @@ void ChunkStoreService::pump_heal() {
 }
 
 void ChunkStoreService::heal_one(const ChunkKey& key) {
-  if (erasure_.enabled()) {
-    heal_one_erasure(key);
-    return;
-  }
-  const i32 holder = placement_.holder(key);
-  const u64 bytes = placement_.bytes_of(key);
-  if (holder < 0 || bytes == 0) return;  // lost or unknown: not healable
-  const std::vector<NodeId> fresh = placement_.heal(key);
-  if (fresh.empty()) return;  // raced with another heal / already whole
-  stats_.rereplicated_chunks++;
-  stats_.rereplicated_bytes += bytes;
-  // One full-copy read off the holder, then a NIC hop + device write per
-  // fresh home: 1 + 2F copies of physical movement for F lost replicas.
-  stats_.heal_moved_bytes += bytes * (1 + 2 * fresh.size());
-  heal_in_flight_++;
-  const size_t s = static_cast<size_t>(shard_of(key));
-  obs::Tracer* tr = loop_.tracer();
-  const u64 heal_span =
-      tr ? tr->begin("store.heal", obs::kServicePid, "heal", loop_.now()) : 0;
-  auto finish = std::make_shared<std::function<void()>>([this, heal_span] {
-    if (heal_span) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(heal_span, loop_.now());
-    }
-    heal_in_flight_--;
-    pump_heal();
-  });
-  // Walk the repair through the owning shard's scheduler as system-tenant
-  // work (an index probe that contends with foreground lookups, as a real
-  // repair stream does), read the surviving copy off the holder's device,
-  // then stream it over the holder's NIC to each fresh home and land it on
-  // that home's device.
-  const auto q = shards_[s].q;
-  enqueue_index(
-      q, kSystemTenant, QosClass::kCheckpoint, params::kStoreLookupBytes,
-      [this, q, holder, bytes, fresh, finish] {
-        q->dev->submit(
-            params::kStoreLookupBytes,
-            [this, holder, bytes, fresh, finish] {
-              charge_node(
-                  holder, bytes, /*is_read=*/true,
-                  [this, holder, bytes, fresh, finish] {
-                    auto left = std::make_shared<int>(
-                        static_cast<int>(fresh.size()));
-                    for (NodeId home : fresh) {
-                      net_.transfer(
-                          holder, home, bytes,
-                          [this, home, bytes, left, finish] {
-                            charge_node(home, bytes, /*is_read=*/false,
-                                        [left, finish] {
-                                          if (--*left == 0) (*finish)();
-                                        });
-                          });
-                    }
-                  });
-            },
-            /*is_read=*/true);
-      });
-}
-
-void ChunkStoreService::heal_one_erasure(const ChunkKey& key) {
   const auto info = placement_.erasure_info(key);
-  if (info.k == 0) return;  // unknown (or raced into a forget)
   // Read sources *before* heal() — heal reassigns the dead slots, and the
   // rebuild must stream from the fragments that existed when the node died.
   bool needs_decode = false;
   const auto sources = placement_.read_plan(key, &needs_decode);
-  if (sources.empty()) return;  // lost (< k survivors): forward-heal's job
+  if (sources.empty()) return;  // unknown, or lost: forward-heal's job
   const std::vector<NodeId> fresh = placement_.heal(key);
   if (fresh.empty()) return;  // raced with another heal / already whole
   stats_.rereplicated_chunks++;
   stats_.rereplicated_bytes += info.frag_bytes * fresh.size();
   stats_.rebuilt_fragments += fresh.size();
   // k fragment reads, k NIC hops to the rebuilder, F fragment writes and
-  // F-1 onward hops: (2k + 2F - 1) fragments of movement, against the
-  // 1 + 2F *full copies* replication pays for the same F lost homes.
+  // F-1 onward hops: (2k + 2F - 1) fragments of movement — 1 + 2F full
+  // copies at k = 1, where the first fresh home is the copy's relay.
   stats_.heal_moved_bytes +=
       info.frag_bytes * (2 * sources.size() + 2 * fresh.size() - 1);
   heal_in_flight_++;
   const size_t s = static_cast<size_t>(shard_of(key));
   const NodeId rebuilder = fresh.front();
+  // The copy code rebuilds nothing: no decode step, no decode span.
+  const bool decode = !erasure::is_copy_code(info.k);
   const double decode_cpu = erasure::decode_seconds(placement_.bytes_of(key));
   obs::Tracer* tr = loop_.tracer();
   const u64 heal_span =
@@ -797,15 +736,16 @@ void ChunkStoreService::heal_one_erasure(const ChunkKey& key) {
   // decode there (real CPU through the fluid share), and land the rebuilt
   // fragments on every fresh home — the first one locally, the rest over
   // the rebuilder's NIC. This is the erasure economy bench_erasure gates:
-  // fragments move, never full copies.
+  // at k >= 2 fragments move, never full copies.
   const auto q = shards_[s].q;
   enqueue_index(
       q, kSystemTenant, QosClass::kCheckpoint, params::kStoreLookupBytes,
-      [this, q, sources, fresh, rebuilder, decode_cpu,
+      [this, q, sources, fresh, rebuilder, decode, decode_cpu,
        frag = info.frag_bytes, finish] {
         q->dev->submit(
             params::kStoreLookupBytes,
-            [this, sources, fresh, rebuilder, decode_cpu, frag, finish] {
+            [this, sources, fresh, rebuilder, decode, decode_cpu, frag,
+             finish] {
               auto gathered =
                   std::make_shared<int>(static_cast<int>(sources.size()));
               auto decode_done = [this, fresh, rebuilder, frag, finish] {
@@ -829,13 +769,14 @@ void ChunkStoreService::heal_one_erasure(const ChunkKey& key) {
               for (const auto& src : sources) {
                 charge_node(
                     src.node, src.bytes, /*is_read=*/true,
-                    [this, src, rebuilder, gathered, decode_cpu,
+                    [this, src, rebuilder, gathered, decode, decode_cpu,
                      decode_done] {
                       net_.transfer(
                           src.node, rebuilder, src.bytes,
-                          [this, rebuilder, gathered, decode_cpu,
+                          [this, rebuilder, gathered, decode, decode_cpu,
                            decode_done] {
                             if (--*gathered > 0) return;
+                            if (!decode) return decode_done();
                             obs::Tracer* t0 = loop_.tracer();
                             const u64 dec =
                                 t0 ? t0->begin("store.erasure_decode",
@@ -883,14 +824,14 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
   for (const auto& [key, chunk] : batch) {
     scrub_cursor_ = key;
     stats_.scrubbed_chunks++;
-    // Fragment rot (erasure): a corrupt fragment is *repaired*, not
-    // quarantined — reconstructed from the k clean survivors and rewritten
-    // in place, charging the fragment reads, a decode at the first
-    // repaired home and the fragment rewrites. Only a chunk with > m bad
-    // fragments is beyond repair and falls through to the quarantine path
-    // below, exactly like a rotten replication container.
+    // Fragment rot: a corrupt fragment is *repaired*, not quarantined —
+    // reconstructed from the k clean survivors (copied, at k = 1) and
+    // rewritten in place, charging the fragment reads, a decode at the
+    // first repaired home and the fragment rewrites. Only a chunk with > m
+    // bad fragments is beyond repair and falls through to the quarantine
+    // path below, exactly like a rotten container.
     bool beyond_repair = false;
-    if (erasure_.enabled() && placement_.corrupt_mask(key) != 0) {
+    if (placement_.corrupt_mask(key) != 0) {
       const auto info = placement_.erasure_info(key);
       bool needs_decode = false;
       const auto sources = placement_.read_plan(key, &needs_decode);
@@ -902,8 +843,10 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
         for (const auto& src : sources) {
           charge_node(src.node, src.bytes, /*is_read=*/true, [] {});
         }
-        charge_cpu(rewritten.front(),
-                   erasure::decode_seconds(chunk->charged_bytes), [] {});
+        if (!erasure::is_copy_code(info.k)) {
+          charge_cpu(rewritten.front(),
+                     erasure::decode_seconds(chunk->charged_bytes), [] {});
+        }
         for (NodeId home : rewritten) {
           charge_node(home, info.frag_bytes, /*is_read=*/false, [] {});
         }
@@ -919,7 +862,7 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
       corrupt = crc32(chunk->materialize(codec)) != chunk->crc;
     }
     if (!missing && !corrupt && placement_.degraded(key)) {
-      // The walk tripped over a replica-degraded survivor (a death the heal
+      // The walk tripped over a degraded survivor (a death the heal
       // daemon's one-shot scan may have raced past): route it back through
       // the heal path.
       saw_degraded = true;
@@ -938,8 +881,8 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
       // surviving homes' devices and dropped from the owning shard's index
       // at metadata rate.
       stats_.scrub_quarantined_chunks++;
-      // Per-home trim: a home holds one fragment under erasure, the full
-      // container under replication (read before forget drops the entry).
+      // Per-home trim: a home holds one fragment (the full container at
+      // k = 1), read before forget drops the entry.
       const u64 per_home = placement_.home_charge(key);
       const u64 rotten = repo_->quarantine(key);
       const std::vector<NodeId> homes = placement_.forget(key);

@@ -9,8 +9,8 @@
 //   kLookup   one dedup probe per submitted chunk key, batched K keys per
 //             RPC (`--lookup-batch`); each probe occupies its shard's queue,
 //   kStore    a chunk accepted (payload over the caller's NIC, an index
-//             insert on the shard) and placed on `replicas` node devices,
-//   kRestore  re-store of a dedup-hit chunk whose every replica died,
+//             insert on the shard) and striped over k+m node devices,
+//   kRestore  re-store of a dedup-hit chunk that became unreadable,
 //   kFetch    a restart locating a chunk (index probe; the bulk bytes
 //             stream off the holding node's device and NIC, charged by the
 //             caller),
@@ -53,14 +53,16 @@
 // Three background activities ride the same queues (as kSystemTenant, on
 // the checkpoint band — repair storms are weighed against foreground
 // traffic, not above it):
-//   - re-replication: after a node death, replica-degraded chunks (alive
-//     homes < R but > 0) are re-copied from a surviving holder to fresh
-//     rendezvous homes until the store is back at `replicas` copies;
+//   - healing: after a node death, degraded chunks (>= k but fewer than
+//     k+m clean homes) have their missing fragments rebuilt from k
+//     survivors onto fresh rendezvous homes — at k = 1, R-way replication,
+//     that is a copy streamed off a surviving holder;
 //   - scrubbing: scrub(N, codec) verifies up to N resident chunks per round
-//     against their manifest CRCs. Corrupt chunks are *quarantined* (repo
-//     entry masked, placement forgotten) so the next generation's encode
-//     re-stores them fresh from live content — the forward-heal path;
-//     degraded survivors the scan trips over are routed to the heal daemon.
+//     against their manifest CRCs. Rotten fragments are rebuilt in place;
+//     chunks beyond repair are *quarantined* (repo entry masked, placement
+//     forgotten) so the next generation's encode re-stores them fresh from
+//     live content — the forward-heal path; degraded survivors the scan
+//     trips over are routed to the heal daemon.
 //   - rebalancing: see above.
 //
 // The service charges its shard queues and the RPC fabric. Physical bytes
@@ -138,17 +140,17 @@ struct ServiceStats {
   u64 rebalance_scanned_keys = 0;   // resident keys examined across passes
   u64 rebalance_scanned_bytes = 0;  // stored bytes examined across passes
   /// Bytes physically moved by heal repairs — device reads, network hops
-  /// and device writes summed, in both redundancy modes. The
-  /// rebuild-traffic comparison bench_erasure gates: a (k,m) fragment
-  /// rebuild moves ~(2k + 2F - 1)/k fragment-sizes where an R-way re-store
-  /// moves 1 + 2F full copies for the same F lost homes.
+  /// and device writes summed. The rebuild-traffic comparison
+  /// bench_erasure gates: a (k,m) fragment rebuild moves (2k + 2F - 1)
+  /// fragment-sizes, which at k = 1 (R-way replication) is 1 + 2F full
+  /// copies for the same F lost homes.
   u64 heal_moved_bytes = 0;
-  /// Erasure heal: fragments rebuilt onto fresh homes from k survivors
-  /// (the replication counterpart is rereplicated_chunks' full copies).
+  /// Heal: fragments rebuilt onto fresh homes from k survivors (full
+  /// copies at k = 1).
   u64 rebuilt_fragments = 0;
-  /// Corrupt fragments the scrubber reconstructed in place from the clean
-  /// survivors — repairs that under replication would have quarantined the
-  /// whole chunk for forward re-store.
+  /// Corrupt fragments the scrubber rebuilt in place from the clean
+  /// survivors, instead of quarantining the whole chunk for forward
+  /// re-store.
   u64 scrub_repaired_fragments = 0;
   // Cold-tier demotion daemon: chunks re-striped to the wider cold (k,m)
   // profile, and the logical bytes they carry.
@@ -159,11 +161,12 @@ struct ServiceStats {
 
 class ChunkStoreService {
  public:
-  /// Redundancy-scheme selection (--erasure / --cold-erasure /
-  /// --hot-generations): k = 0 keeps R-way replication; k > 0 stripes
-  /// every stored chunk into k data + m parity fragments and makes
-  /// `replicas` irrelevant. cold_k > 0 additionally arms the demotion
-  /// daemon, re-striping chunks referenced only by generations older than
+  /// The (k,m) striping profile (--erasure / --cold-erasure /
+  /// --hot-generations). Every chunk is striped into k data + m parity
+  /// fragments; k = 0 on input means `replicas`-way replication, which the
+  /// constructor resolves to its (1, replicas-1) profile — erasure().k is
+  /// always >= 1. cold_k > 0 additionally arms the demotion daemon,
+  /// re-striping chunks referenced only by generations older than
   /// `hot_generations` to the wider cold profile.
   struct ErasureConfig {
     int k = 0;
@@ -171,13 +174,13 @@ class ChunkStoreService {
     int cold_k = 0;
     int cold_m = 0;
     int hot_generations = 0;
-    bool enabled() const { return k > 0; }
     bool cold_enabled() const { return cold_k > 0; }
   };
 
   /// `replicas` copies of each chunk across the cluster's node devices;
   /// `shards` independent service endpoints; `lookup_batch` keys per lookup
-  /// RPC; `erasure` optionally replaces replication with (k,m) striping.
+  /// RPC; `erasure` optionally replaces the (1, replicas-1) profile with
+  /// (k,m) striping.
   /// Until set_endpoints() overrides them, shard s lives on node
   /// (s mod nodes) so directly-constructed services (tests) work.
   ChunkStoreService(sim::EventLoop& loop, sim::Network& net, int replicas,
@@ -327,15 +330,15 @@ class ChunkStoreService {
   /// cursor) against their recorded CRCs, charging each verification read
   /// to the owning shard's queue. `codec` decompresses real containers.
   /// Corrupt chunks are quarantined for forward re-store; degraded
-  /// survivors kick the heal daemon. Under erasure, per-fragment rot
-  /// (corrupt_fragment()) is *repaired* in place — the fragment is
-  /// reconstructed from the k clean survivors and rewritten — and only a
-  /// chunk with > m bad fragments falls back to quarantine.
+  /// survivors kick the heal daemon. Per-fragment rot (corrupt_fragment())
+  /// is *repaired* in place — the fragment is reconstructed from the k
+  /// clean survivors (at k = 1, copied from a clean replica) and rewritten
+  /// — and only a chunk with > m bad fragments falls back to quarantine.
   void scrub(u64 max_chunks, compress::CodecKind codec);
 
-  /// Simulated fragment rot (erasure only): mark fragment `index` of `key`
-  /// corrupt, to be found and repaired by a later scrub pass. Returns
-  /// false when the key is unknown or not erasure-coded.
+  /// Simulated fragment rot: mark fragment `index` of `key` corrupt, to be
+  /// found and repaired by a later scrub pass. Returns false when the key
+  /// is unknown or the index is out of range.
   bool corrupt_fragment(const ChunkKey& key, int index) {
     return placement_.corrupt_fragment(key, index);
   }
@@ -473,15 +476,11 @@ class ChunkStoreService {
   /// The placement homes of a just-recorded store as chargeable writes.
   std::vector<StoreTarget> store_targets(const ChunkKey& key,
                                          const std::vector<NodeId>& homes);
-  /// Any redundancy to heal back to? Replication needs R > 1; erasure
-  /// always has parity (m >= 1).
-  bool redundant() const {
-    return erasure_.enabled() || placement_.replicas() > 1;
-  }
+  /// Any redundancy to heal back to? Only with parity (R > 1 is m >= 1).
+  bool redundant() const { return erasure_.m > 0; }
   void schedule_heal_scan();
   void pump_heal();
   void heal_one(const ChunkKey& key);
-  void heal_one_erasure(const ChunkKey& key);
 
   sim::EventLoop& loop_;
   sim::Network& net_;

@@ -131,8 +131,8 @@ struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
           dr.keys = {rc.key};
           dr.bytes = rc.bytes;
           svc->submit(std::move(dr));
-          // One fragment per home under erasure, the full container under
-          // replication — read before forget drops the entry.
+          // One fragment per home (the full container at k = 1) — read
+          // before forget drops the entry.
           const u64 per_home = svc->placement().home_charge(rc.key);
           for (NodeId home : svc->placement().forget(rc.key)) {
             k->discard_storage(home, path, per_home > 0 ? per_home : rc.bytes);
@@ -685,12 +685,13 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         round, repo);
     ckptstore::ChunkStoreService* svc = shared_->store_service.get();
     // Striping new chunk containers into k+m fragments is checkpoint-path
-    // CPU like compression, priced by the parity rows at kErasureBw.
-    double erasure_seconds = 0;
-    if (svc != nullptr && svc->erasure().enabled()) {
-      erasure_seconds = ckptstore::erasure::encode_seconds(
-          delta.new_chunk_bytes, svc->erasure().k, svc->erasure().m);
-    }
+    // CPU like compression, priced by the parity rows at kErasureBw (free
+    // for the copy code: replicas are not computed).
+    const double erasure_seconds =
+        svc == nullptr ? 0.0
+                       : ckptstore::erasure::encode_seconds(
+                             delta.new_chunk_bytes, svc->erasure().k,
+                             svc->erasure().m);
     if (pipe == nullptr) {
       co_await ctx.cpu(delta.assemble_seconds + delta.compress_seconds +
                        erasure_seconds);

@@ -98,9 +98,11 @@ struct StoreConfig {
   /// --dedup-scope: node-local repositories or one computation-wide store.
   DedupScope dedup_scope = DedupScope::kNode;
   /// --chunk-replicas: copies of each chunk across node-local devices
-  /// under the cluster-wide chunk-store service. 1 = no redundancy (a
-  /// node failure loses its chunks and forces a full re-store); R > 1
-  /// survives R-1 node failures per chunk at R× write amplification.
+  /// under the cluster-wide chunk-store service — the (k=1, m=R-1) profile
+  /// of the store's one striping scheme. 1 = no redundancy (a node failure
+  /// loses its chunks and forces a full re-store); R > 1 survives R-1 node
+  /// failures per chunk at R× write amplification. At most 32 (the
+  /// per-chunk corrupt mask is 32 bits wide).
   int chunk_replicas = 1;
   /// --store-node: node hosting the first chunk-store shard endpoint
   /// (kStoreNodeCoord = wherever the coordinator runs). Validated against
@@ -124,10 +126,11 @@ struct StoreConfig {
   /// re-store; degraded stragglers are routed to the heal daemon.
   u64 scrub_chunks = 0;
   /// --erasure K,M: Reed-Solomon (k data, m parity) fragment striping
-  /// instead of replica copies — each stored chunk splits into k+m
+  /// wider than replica copies — each stored chunk splits into k+m
   /// fragments on distinct nodes, any k of which reconstruct it. Survives
-  /// m node losses at (k+m)/k byte overhead (vs R× for --chunk-replicas).
-  /// 0,0 keeps replication. Mutually exclusive with --chunk-replicas > 1.
+  /// m node losses at (k+m)/k byte overhead (vs R× for --chunk-replicas,
+  /// which is the (1, R-1) profile). 0,0 keeps the --chunk-replicas
+  /// profile. Mutually exclusive with --chunk-replicas > 1.
   int erasure_k = 0;
   int erasure_m = 0;
   /// --cold-erasure K,M: the wider profile chunks referenced only by
@@ -170,6 +173,11 @@ struct StoreConfig {
     if (chunk_replicas < 1) {
       return "--chunk-replicas must place at least one copy (got " +
              std::to_string(chunk_replicas) + ")";
+    }
+    if (chunk_replicas > 32) {
+      return "--chunk-replicas must place at most 32 copies (got " +
+             std::to_string(chunk_replicas) +
+             "): the per-chunk corrupt mask is 32 bits wide";
     }
     if (store_shards < 1) {
       return "--store-shards must keep at least one service shard (got " +

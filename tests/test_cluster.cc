@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -610,6 +611,100 @@ TEST(ScrubRepair, DegradedStragglersAreRoutedToTheHealDaemon) {
   loop.run();
   EXPECT_EQ(svc.placement().degraded_count(), 0u);
   EXPECT_GT(svc.stats().rereplicated_chunks, 0u);
+}
+
+// Stores made while nodes are down land on fewer than k+m homes. Once the
+// nodes revive those entries are degraded: the scan must report them (not
+// only per-key degraded()), scrub must route them to the heal daemon, and
+// heal must fill the slots the short store never placed.
+void expect_short_stores_heal_after_revive(
+    int replicas, ChunkStoreService::ErasureConfig profile,
+    std::vector<NodeId> down) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 3);
+  ChunkStoreService svc(loop, net, replicas, /*shards=*/1, /*lookup_batch=*/1,
+                        profile);
+  svc.set_endpoints({0});
+  for (NodeId n : down) svc.fail_node(n);
+  loop.run();
+  for (u64 i = 0; i < 40; ++i) {
+    submit_store(svc, 0, key_of(i), 16 * 1024, [] {});
+    ckptstore::Chunk c;
+    c.kind = sim::ExtentKind::kZero;
+    c.len = 16 * 1024;
+    c.charged_bytes = 16 * 1024;
+    svc.repo().put(key_of(i), std::move(c));
+  }
+  loop.run();
+  const size_t full = static_cast<size_t>(svc.erasure().k + svc.erasure().m);
+  const size_t short_homes = std::min<size_t>(full, 3 - down.size());
+  ASSERT_LT(short_homes, full);
+  for (u64 i = 0; i < 40; ++i) {
+    ASSERT_EQ(svc.placement().homes_of(key_of(i)).size(), short_homes);
+  }
+  EXPECT_EQ(svc.placement().degraded_count(), 0u);  // full for 3 - F nodes
+
+  for (NodeId n : down) svc.revive_node(n);
+  EXPECT_EQ(svc.placement().degraded_count(), 40u);
+  EXPECT_EQ(svc.placement().degraded_chunks().size(), 40u);
+  EXPECT_TRUE(svc.placement().degraded(key_of(0)));
+  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  loop.run();
+  EXPECT_EQ(svc.placement().degraded_count(), 0u);
+  EXPECT_TRUE(svc.rereplication_idle());
+  for (u64 i = 0; i < 40; ++i) {
+    const auto homes = svc.placement().homes_of(key_of(i));
+    EXPECT_EQ(homes.size(), std::min<size_t>(full, 3));
+    EXPECT_EQ(std::set<NodeId>(homes.begin(), homes.end()).size(),
+              homes.size());
+  }
+}
+
+TEST(ScrubRepair, ErasureStoresMadeDuringAnOutageHealAfterRevival) {
+  expect_short_stores_heal_after_revive(1, {.k = 2, .m = 1}, {2});
+}
+
+TEST(ScrubRepair, ReplicaStoresMadeDuringAnOutageHealAfterRevival) {
+  expect_short_stores_heal_after_revive(2, {}, {1, 2});
+}
+
+// Replication is the (1, R-1) profile, so a rotten replica is rebuilt in
+// place from a clean one — no quarantine, no forced re-store.
+TEST(ScrubRepair, RottenReplicaIsRepairedInPlace) {
+  auto opts = cluster_opts(/*replicas=*/2);
+  World w(4, opts);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  sim::Process* p = w.k().find_process(pa);
+  ASSERT_NE(p, nullptr);
+  auto& seg = p->mem().add("blob", sim::MemKind::kHeap, 512 * 1024);
+  seg.data.write(0, pseudo_bytes(512 * 1024, 0x5C12B));
+  w.ctl.checkpoint_now();
+
+  auto& svc = *w.ctl.shared().store_service;
+  ChunkKey victim{};
+  bool found = false;
+  for (const auto& [key, chunk] : svc.repo().chunks_after(ChunkKey{}, 4096)) {
+    if (chunk->kind == sim::ExtentKind::kReal && chunk->len >= 4096) {
+      victim = key;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  ASSERT_TRUE(svc.corrupt_fragment(victim, 1));
+  EXPECT_TRUE(svc.placement().available(victim));
+
+  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  w.ctl.run_for(100 * timeconst::kMillisecond);
+  EXPECT_EQ(svc.stats().scrub_repaired_fragments, 1u);
+  EXPECT_EQ(svc.stats().scrub_quarantined_chunks, 0u);
+  EXPECT_EQ(svc.placement().corrupt_mask(victim), 0u);
+
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  EXPECT_FALSE(rr.needs_restore);
+  ASSERT_TRUE(w.run_until_results({"a"}));
 }
 
 // --- automatic store placement -----------------------------------------------

@@ -109,11 +109,36 @@ TEST(ErasureCodec, CostModelPricesParityAndDecodePasses) {
                    4'000'000.0 / sim::params::kErasureBw);
 }
 
+TEST(ErasureCodec, KOneIsTheCopyCode) {
+  // R-way replication is the (1, R-1) profile: every Vandermonde row is
+  // [1], so each parity fragment is the container itself and any single
+  // fragment reconstructs it.
+  const u64 len = 4096 + 7;
+  const auto data = pseudo_bytes(len, 0xC0B1);
+  for (int m : {0, 1, 2, 4}) {
+    const auto frags = erasure::encode(data, 1, m);
+    ASSERT_EQ(frags.size(), static_cast<size_t>(1 + m));
+    for (int i = 0; i <= m; ++i) {
+      EXPECT_EQ(frags[static_cast<size_t>(i)], data) << "fragment " << i;
+      EXPECT_EQ(erasure::reconstruct({{i, frags[static_cast<size_t>(i)]}}, 1,
+                                     m, len),
+                data)
+          << "(1," << m << ") from fragment " << i;
+    }
+  }
+  // Nothing is computed, so nothing is charged, and a store ships one copy.
+  EXPECT_EQ(erasure::encode_seconds(4'000'000, 1, 1), 0.0);
+  EXPECT_EQ(erasure::encode_seconds(4'000'000, 1, 3), 0.0);
+  EXPECT_EQ(erasure::wire_bytes(4'000'000, 1, 3), 4'000'000u);
+  EXPECT_EQ(erasure::wire_bytes(4'000'001, 4, 2),
+            6 * erasure::fragment_bytes(4'000'001, 4));
+}
+
 // --- placement ---------------------------------------------------------------
 
 TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
   ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  pl.set_profile(4, 2);
   for (u64 i = 0; i < 100; ++i) {
     const auto homes = pl.record_store(key_of(i), 4096);
     ASSERT_EQ(homes.size(), 6u);
@@ -140,7 +165,7 @@ TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
 
 TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
   ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  pl.set_profile(4, 2);
   const ChunkKey key = key_of(42);
   const auto homes = pl.record_store(key, 4096);
   ASSERT_EQ(homes.size(), 6u);
@@ -185,7 +210,7 @@ TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
 
 TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
   ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  pl.set_profile(4, 2);
   const ChunkKey key = key_of(7);
   const auto before = pl.record_store(key, 8192);
   ASSERT_EQ(before.size(), 6u);
@@ -213,7 +238,7 @@ TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
 
 TEST(ErasurePlacement, CorruptFragmentsRepairInPlace) {
   ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  pl.set_profile(4, 2);
   const ChunkKey key = key_of(3);
   const auto homes = pl.record_store(key, 4096);
   ASSERT_EQ(homes.size(), 6u);

@@ -141,6 +141,38 @@ TEST(Placement, ReplicaTwoSurvivesOneNodeFailure) {
   }
 }
 
+TEST(Placement, ReplicaHealKeepsCopiesInRendezvousRank) {
+  // Replicas are the (1, R-1) profile: reading a surviving copy is never a
+  // decode, and after a heal the homes are back in rendezvous order, so
+  // reads go to the best surviving home rather than the refilled slot.
+  ChunkPlacement pl(6, 2);
+  for (u64 i = 0; i < 50; ++i) {
+    const ChunkKey key = key_of(i);
+    const auto homes = pl.record_store(key, 1000);
+    ASSERT_EQ(homes.size(), 2u);
+    EXPECT_EQ(pl.erasure_info(key).k, 1);
+    EXPECT_EQ(pl.home_charge(key), 1000u);
+  }
+  pl.fail_node(0);
+  u64 healed = 0;
+  for (u64 i = 0; i < 50; ++i) {
+    const ChunkKey key = key_of(i);
+    bool needs_decode = true;
+    const auto plan = pl.read_plan(key, &needs_decode);
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan[0].bytes, 1000u);
+    EXPECT_FALSE(needs_decode);
+    if (!pl.degraded(key)) continue;
+    const auto fresh = pl.heal(key);
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_EQ(pl.homes_of(key), pl.place(key));
+    EXPECT_EQ(pl.holder(key), pl.place(key).front());
+    ++healed;
+  }
+  EXPECT_GT(healed, 0u);
+  EXPECT_EQ(pl.degraded_count(), 0u);
+}
+
 // --- service request queue ---------------------------------------------------
 
 std::vector<ChunkKey> keys_range(u64 from, u64 to) {
