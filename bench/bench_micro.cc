@@ -1,6 +1,7 @@
 // Micro-benchmarks of the substrate (google-benchmark): compressor
-// throughput by content class, sparse ByteImage operations, event-loop
-// dispatch, CRC32. These are host-side costs, not virtual-time results.
+// throughput by content class, sparse ByteImage operations, kRand pattern
+// synthesis, event-loop dispatch, CRC32. These are host-side costs, not
+// virtual-time results.
 #include <benchmark/benchmark.h>
 
 #include "compress/compressor.h"
@@ -95,13 +96,41 @@ void BM_EventLoopPostRun(benchmark::State& state) {
 BENCHMARK(BM_EventLoopPostRun);
 
 void BM_Crc32(benchmark::State& state) {
-  auto data = make_data("rand", 1 << 20);
+  const auto n = static_cast<size_t>(state.range(0));
+  auto data = make_data("rand", n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crc32(data));
   }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * (1 << 20));
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * n));
 }
-BENCHMARK(BM_Crc32);
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// A 64 KiB kRand span at an odd offset, as the chunk store CRCs a new
+// pattern chunk: content generated straight into the CRC.
+void BM_ByteImageCrcRand(benchmark::State& state) {
+  constexpr u64 kSpan = 64 << 10;
+  sim::ByteImage img(kSpan + 8);
+  img.fill(0, kSpan + 8, sim::ExtentKind::kRand, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(img.crc(3, kSpan));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * kSpan));
+}
+BENCHMARK(BM_ByteImageCrcRand);
+
+// Materializing the same kRand span into a buffer.
+void BM_ByteImageReadRand(benchmark::State& state) {
+  constexpr u64 kSpan = 64 << 10;
+  sim::ByteImage img(kSpan + 8);
+  img.fill(0, kSpan + 8, sim::ExtentKind::kRand, 7);
+  std::vector<std::byte> out(kSpan);
+  for (auto _ : state) {
+    img.read(3, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * kSpan));
+}
+BENCHMARK(BM_ByteImageReadRand);
 
 }  // namespace
 

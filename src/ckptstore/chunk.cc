@@ -1,10 +1,9 @@
 #include "ckptstore/chunk.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdio>
 
 #include "util/assertx.h"
-#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace dsim::ckptstore {
@@ -54,10 +53,7 @@ std::vector<std::byte> Chunk::materialize(compress::CodecKind codec) const {
       return std::vector<std::byte>(len);
     case sim::ExtentKind::kRand: {
       std::vector<std::byte> out(len);
-      for (u64 i = 0; i < len; ++i) {
-        out[i] = static_cast<std::byte>(sim::ByteImage::rand_byte(seed,
-                                                                  pos + i));
-      }
+      sim::ByteImage::rand_fill(seed, pos, out);
       return out;
     }
     case sim::ExtentKind::kReal: {
@@ -114,16 +110,7 @@ ChunkKey span_key(const sim::ByteImage& img, const ChunkSpan& s) {
 }
 
 u32 span_crc(const sim::ByteImage& img, const ChunkSpan& s) {
-  if (s.kind == sim::ExtentKind::kZero) {
-    static std::map<u64, u32> cache;  // one all-zero buffer per chunk size
-    auto it = cache.find(s.len);
-    if (it == cache.end()) {
-      std::vector<std::byte> zeros(s.len);
-      it = cache.emplace(s.len, crc32(zeros)).first;
-    }
-    return it->second;
-  }
-  return crc32(img.materialize(s.off, s.len));
+  return img.crc(s.off, s.len);
 }
 
 }  // namespace dsim::ckptstore

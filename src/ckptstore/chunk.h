@@ -119,7 +119,8 @@ std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img, u64 chunk_bytes);
 /// real/mixed spans).
 ChunkKey span_key(const sim::ByteImage& img, const ChunkSpan& s);
 
-/// CRC-32 of a span's virtual content (cached for zero spans).
+/// CRC-32 of a span's virtual content, computed without materializing it
+/// (ByteImage::crc).
 u32 span_crc(const sim::ByteImage& img, const ChunkSpan& s);
 
 }  // namespace dsim::ckptstore

@@ -50,6 +50,14 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
   }
 }
 
+ChunkStoreService::~ChunkStoreService() {
+  // A queued item holds its RPC reply, whose call record holds the
+  // request's serve closure, which holds the queue: an ownership cycle that
+  // would leak every queue torn down mid-drain. Dropping the items breaks
+  // it.
+  for (Shard& shard : shards_) shard.q->fq = FairQueue{};
+}
+
 void ChunkStoreService::set_endpoints(std::vector<NodeId> nodes) {
   DSIM_CHECK_MSG(nodes.size() == shards_.size(),
                  "endpoint assignment must name one node per shard");

@@ -189,6 +189,8 @@ class ChunkStoreService {
                     int shards = 1, int lookup_batch = 1)
       : ChunkStoreService(loop, net, replicas, shards, lookup_batch,
                           ErasureConfig{}) {}
+  /// Drops the work still queued at the shards (see the definition).
+  ~ChunkStoreService();
 
   const ErasureConfig& erasure() const { return erasure_; }
 

@@ -204,7 +204,10 @@ class FairQueue {
 /// tenant's generations form an independent namespace while chunk content
 /// stays tenant-blind (identical bytes dedup across tenants).
 inline std::string tenant_prefix(TenantId t) {
-  return "t" + std::to_string(t) + "/";
+  std::string out = "t";
+  out += std::to_string(t);
+  out += '/';
+  return out;
 }
 inline std::string tenant_owner(TenantId t, const std::string& base_owner) {
   return tenant_prefix(t) + base_owner;

@@ -33,11 +33,14 @@ std::string sanitize(std::string s) {
 /// store sequence (lookups -> stores/heals -> device charges -> manifest ->
 /// GC drops) as a callback chain off the event loop, so the checkpoint
 /// barrier releases without waiting on any of it. Kept alive by the
-/// callbacks it registers.
+/// callbacks it registers. Most of them live in the DMTCP instance's own
+/// pipeline and store service, so the job must not own the instance: that
+/// cycle leaks it when a world is torn down mid-drain. The step the event
+/// loop calls back first checks that the instance is still there.
 struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
   sim::Kernel* k = nullptr;
-  std::shared_ptr<DmtcpShared> shared;
-  std::shared_ptr<ckptstore::ChunkStoreService> svc;  // null: local-repo path
+  std::weak_ptr<DmtcpShared> shared;
+  ckptstore::ChunkStoreService* svc = nullptr;  // null: local-repo path
   ckptstore::TenantId tenant = ckptstore::kDefaultTenant;
   NodeId node = 0;
   std::string path;
@@ -116,11 +119,13 @@ struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
   }
 
   void gc_and_done() {
-    ckptstore::Repository& repo = shared->repo_for(node);
+    const auto sh = shared.lock();
+    if (!sh) return;
+    ckptstore::Repository& repo = sh->repo_for(node);
     if (svc) {
       std::vector<ckptstore::Repository::ReclaimedChunk> dead;
       const u64 reclaimed =
-          repo.collect_garbage(shared->opts.keep_generations, &dead,
+          repo.collect_garbage(sh->opts.keep_generations, &dead,
                                ckptstore::tenant_prefix(tenant));
       if (reclaimed > 0) {
         for (const auto& rc : dead) {
@@ -140,8 +145,7 @@ struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
         }
       }
     } else {
-      const u64 reclaimed =
-          repo.collect_garbage(shared->opts.keep_generations);
+      const u64 reclaimed = repo.collect_garbage(sh->opts.keep_generations);
       if (reclaimed > 0) k->discard_storage(node, path, reclaimed);
     }
     done();
@@ -728,7 +732,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       auto job = std::make_shared<AsyncStoreJob>();
       job->k = &k;
       job->shared = shared_;
-      job->svc = shared_->store_service;
+      job->svc = shared_->store_service.get();
       job->tenant = shared_->opts.tenant_id;
       job->node = p_.node();
       job->path = path;
@@ -764,7 +768,9 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         job->done = std::move(done);
         job->run();
       };
-      auto shared = shared_;
+      // Held by the pipeline, which the instance owns: owning the instance
+      // from here would be a cycle.
+      DmtcpShared* shared = shared_.get();
       auto* kp = &k;
       spec.on_complete = [kp, shared, round] {
         auto& r = shared->stats.rounds[static_cast<size_t>(round)];

@@ -6,11 +6,12 @@ namespace dsim::core {
 
 Task<void> send_msg(sim::Kernel& k, sim::Thread& t, sim::TcpVNode& s,
                     const Msg& m) {
-  auto payload = m.encode();
+  const auto payload = m.encode();
   ByteWriter w;
   w.put_u32(static_cast<u32>(payload.size()));
-  w.put_bytes(payload);
-  auto frame = w.take();
+  std::vector<std::byte> frame = w.take();
+  frame.reserve(frame.size() + payload.size());  // one allocation per frame
+  frame.insert(frame.end(), payload.begin(), payload.end());
   u64 sent = 0;
   while (sent < frame.size()) {
     const u64 n = co_await k.sock_send(

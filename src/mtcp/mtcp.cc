@@ -33,9 +33,7 @@ double pattern_ratio(compress::CodecKind codec, const ByteImage::Extent& ext,
   auto it = rand_cache.find({codec, ext.seed});
   if (it != rand_cache.end()) return it->second;
   std::vector<std::byte> sample(std::min<u64>(kSample, ext.len));
-  for (u64 i = 0; i < sample.size(); ++i) {
-    sample[i] = static_cast<std::byte>(ByteImage::rand_byte(ext.seed, off + i));
-  }
+  ByteImage::rand_fill(ext.seed, off, sample);
   const double r = compress::measure_ratio(codec, sample);
   rand_cache.emplace(std::make_pair(codec, ext.seed), r);
   return r;

@@ -260,7 +260,9 @@ std::string SloEngine::json() const {
   const std::vector<std::string> act = active();
   for (size_t i = 0; i < act.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(act[i]) + "\"";
+    out += '"';
+    out += json_escape(act[i]);
+    out += '"';
   }
   out += "],\"alerts_fired\":" + std::to_string(fired_);
   out += ",\"events\":[";

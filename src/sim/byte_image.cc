@@ -5,7 +5,6 @@
 
 #include "util/assertx.h"
 #include "util/crc32.h"
-#include "util/rng.h"
 #include "util/serialize.h"
 
 namespace dsim::sim {
@@ -16,10 +15,58 @@ ByteImage::ByteImage(u64 size) : size_(size) {
   }
 }
 
-u8 ByteImage::rand_byte(u64 seed, u64 pos) {
-  u64 s = seed ^ (pos >> 3) * 0x9e3779b97f4a7c15ULL;
-  const u64 block = splitmix64(s);
-  return static_cast<u8>(block >> ((pos & 7) * 8));
+namespace {
+
+// Walk kRand positions [pos, pos+n) on the eight-byte word grid:
+// part(word, first byte used, bytes used) for a partial head or tail word,
+// whole(first block, count) once for the whole words between them.
+template <typename Part, typename Whole>
+void split_rand_range(u64 seed, u64 pos, u64 n, Part&& part, Whole&& whole) {
+  const u64 head = std::min<u64>(n, (8 - (pos & 7)) & 7);
+  if (head > 0) part(ByteImage::rand_word(seed, pos >> 3), pos & 7, head);
+  pos += head;
+  n -= head;
+  if (n >= 8) whole(pos >> 3, n >> 3);
+  if ((n & 7) != 0) {
+    part(ByteImage::rand_word(seed, (pos + n) >> 3), 0, n & 7);
+  }
+}
+
+// Store bytes lane..lane+k-1 of `word` (least significant first) to out.
+void put_word_bytes(u64 word, u64 lane, u64 k, std::byte* out) {
+  for (u64 b = 0; b < k; ++b) {
+    out[b] = static_cast<std::byte>(word >> ((lane + b) * 8));
+  }
+}
+
+// The whole-word case, written out so that compilers fold it into one
+// store on little-endian hosts.
+void store_le64(u64 word, std::byte* out) {
+  out[0] = static_cast<std::byte>(word);
+  out[1] = static_cast<std::byte>(word >> 8);
+  out[2] = static_cast<std::byte>(word >> 16);
+  out[3] = static_cast<std::byte>(word >> 24);
+  out[4] = static_cast<std::byte>(word >> 32);
+  out[5] = static_cast<std::byte>(word >> 40);
+  out[6] = static_cast<std::byte>(word >> 48);
+  out[7] = static_cast<std::byte>(word >> 56);
+}
+
+}  // namespace
+
+void ByteImage::rand_fill(u64 seed, u64 pos, std::span<std::byte> out) {
+  std::byte* p = out.data();
+  split_rand_range(
+      seed, pos, out.size(),
+      [&](u64 word, u64 lane, u64 k) {
+        put_word_bytes(word, lane, k, p);
+        p += k;
+      },
+      [&](u64 block, u64 count) {
+        for (const u64 end = block + count; block < end; ++block, p += 8) {
+          store_le64(rand_word(seed, block), p);
+        }
+      });
 }
 
 void ByteImage::resize(u64 new_size) {
@@ -99,38 +146,72 @@ void ByteImage::fill(u64 off, u64 len, ExtentKind kind, u64 seed) {
   replace_range(off, len, Extent{len, kind, seed, nullptr, 0});
 }
 
-void ByteImage::read(u64 off, std::span<std::byte> out) const {
-  if (out.empty()) return;
-  DSIM_CHECK_MSG(off + out.size() <= size_, "ByteImage read out of range");
-  u64 pos = off;
-  u64 done = 0;
+template <typename Fn>
+void ByteImage::for_each_piece(u64 off, u64 len, Fn&& fn) const {
+  if (len == 0) return;
+  DSIM_CHECK_MSG(off + len <= size_, "ByteImage read out of range");
   auto it = ext_.upper_bound(off);
   DSIM_CHECK(it != ext_.begin());
   --it;
-  while (done < out.size()) {
+  for (u64 pos = off, end = off + len; pos < end; ++it) {
     DSIM_CHECK(it != ext_.end());
-    const u64 start = it->first;
-    const Extent& ext = it->second;
-    const u64 in_ext = pos - start;
-    const u64 n = std::min<u64>(ext.len - in_ext, out.size() - done);
+    const u64 in_ext = pos - it->first;
+    const u64 n = std::min<u64>(it->second.len - in_ext, end - pos);
+    fn(pos, it->second, in_ext, n);
+    pos += n;
+  }
+}
+
+void ByteImage::read(u64 off, std::span<std::byte> out) const {
+  std::byte* p = out.data();
+  const auto copy = [&](u64 pos, const Extent& ext, u64 in_ext, u64 n) {
     switch (ext.kind) {
       case ExtentKind::kReal:
-        std::memcpy(out.data() + done,
-                    ext.data->data() + ext.data_off + in_ext, n);
+        std::memcpy(p, ext.data->data() + ext.data_off + in_ext, n);
         break;
       case ExtentKind::kZero:
-        std::memset(out.data() + done, 0, n);
+        std::memset(p, 0, n);
         break;
       case ExtentKind::kRand:
-        for (u64 k = 0; k < n; ++k) {
-          out[done + k] = static_cast<std::byte>(rand_byte(ext.seed, pos + k));
-        }
+        rand_fill(ext.seed, pos, std::span(p, n));
         break;
     }
-    done += n;
-    pos += n;
-    ++it;
-  }
+    p += n;
+  };
+  for_each_piece(off, out.size(), copy);
+}
+
+u32 ByteImage::crc(u64 off, u64 len) const {
+  u32 c = 0;
+  for_each_piece(off, len, [&](u64 pos, const Extent& ext, u64 in_ext, u64 n) {
+    switch (ext.kind) {
+      case ExtentKind::kReal:
+        c = crc32_update(c, std::span<const std::byte>(
+                                ext.data->data() + ext.data_off + in_ext, n));
+        break;
+      case ExtentKind::kZero: {
+        c = crc32_update_words(c, n / 8, [] { return u64{0}; });
+        static constexpr std::byte kZeros[8] = {};
+        c = crc32_update(c, std::span(kZeros, n % 8));
+        break;
+      }
+      case ExtentKind::kRand:
+        split_rand_range(
+            ext.seed, pos, n,
+            [&](u64 word, u64 lane, u64 k) {
+              std::byte part[8];
+              put_word_bytes(word, lane, k, part);
+              c = crc32_update(c, std::span(part, k));
+            },
+            [&](u64 block, u64 count) {
+              c = crc32_update_words(c, count, [&] {
+                return rand_word(ext.seed, block++);
+              });
+            });
+        break;
+    }
+  });
+  return c;
 }
 
 std::vector<std::byte> ByteImage::materialize(u64 off, u64 len) const {
@@ -153,19 +234,6 @@ u64 ByteImage::pattern_bytes(ExtentKind kind) const {
     if (ext.kind == kind) acc += ext.len;
   }
   return acc;
-}
-
-u32 ByteImage::content_crc() const {
-  u32 crc = 0;
-  std::vector<std::byte> chunk(64 * 1024);
-  u64 pos = 0;
-  while (pos < size_) {
-    const u64 n = std::min<u64>(chunk.size(), size_ - pos);
-    read(pos, std::span(chunk).first(n));
-    crc = crc32_update(crc, std::span<const std::byte>(chunk).first(n));
-    pos += n;
-  }
-  return crc;
 }
 
 void ByteImage::serialize(ByteWriter& w) const {

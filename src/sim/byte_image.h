@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/types.h"
 
 namespace dsim {
@@ -99,9 +100,13 @@ class ByteImage {
   /// Bytes in pattern extents of the given kind.
   u64 pattern_bytes(ExtentKind kind) const;
 
-  /// Streaming CRC-32 of the full (virtual) content. O(size); use in tests
-  /// and for modest images only.
-  u32 content_crc() const;
+  /// CRC-32 of [off, off+len), computed by walking the extents without
+  /// copying: real bytes from the shared buffers, zero and kRand words
+  /// generated straight into the CRC. Equals crc32(materialize(off, len)).
+  u32 crc(u64 off, u64 len) const;
+  /// CRC-32 of the full (virtual) content: crc(0, size()). Still O(size),
+  /// but allocates nothing.
+  u32 content_crc() const { return crc(0, size_); }
 
   /// Visit extents in order: fn(offset, extent).
   template <typename Fn>
@@ -113,8 +118,17 @@ class ByteImage {
   void serialize(ByteWriter& w) const;
   static ByteImage deserialize(ByteReader& r);
 
+  /// kRand content, defined once: the eight bytes at absolute positions
+  /// 8·block .. 8·block+7, least significant byte first.
+  static u64 rand_word(u64 seed, u64 block) {
+    return mix64(seed ^ block * 0x9e3779b97f4a7c15ULL);
+  }
   /// Deterministic content byte of a kRand pattern at absolute position.
-  static u8 rand_byte(u64 seed, u64 pos);
+  static u8 rand_byte(u64 seed, u64 pos) {
+    return static_cast<u8>(rand_word(seed, pos >> 3) >> ((pos & 7) * 8));
+  }
+  /// Write the kRand content of positions [pos, pos+out.size()) to `out`.
+  static void rand_fill(u64 seed, u64 pos, std::span<std::byte> out);
 
  private:
   // Split the extent containing `pos` so that `pos` becomes an extent
@@ -124,6 +138,10 @@ class ByteImage {
   // first) and insert the replacement extent.
   void replace_range(u64 off, u64 len, Extent ext);
   void check_invariants() const;
+  // Visit the extent pieces covering [off, off+len) in order:
+  // fn(pos, extent, offset of pos inside the extent, piece length).
+  template <typename Fn>
+  void for_each_piece(u64 off, u64 len, Fn&& fn) const;
   void notify(u64 off, u64 len) {
     if (observer_ != nullptr && len > 0) observer_->on_mutate(off, len);
   }

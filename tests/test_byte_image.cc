@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/byte_image.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -114,6 +115,27 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
   auto out = img.materialize(0, size);
   ASSERT_TRUE(std::equal(out.begin(), out.end(), ref.begin()))
       << "divergence from reference model";
+
+  // The extent-walking CRC equals the CRC of the materialized bytes: on the
+  // whole image, on random sub-ranges, and on ranges that start and end off
+  // the eight-byte kRand word grid (including inside a single word).
+  std::vector<std::pair<u64, u64>> ranges{{0, size}, {size, 0}};
+  for (int i = 0; i < 48; ++i) {
+    const u64 off = rng.next_below(size + 1);
+    ranges.emplace_back(off, rng.next_below(size - off + 1));
+  }
+  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+    if (e.kind != ExtentKind::kRand || e.len < 8) return;
+    ranges.emplace_back(off, e.len);
+    ranges.emplace_back(off + 1, e.len - 2);
+    ranges.emplace_back(off + 3, 3);
+    ranges.emplace_back(off + 5, rng.next_below(e.len - 5));
+  });
+  for (const auto& [off, len] : ranges) {
+    EXPECT_EQ(img.crc(off, len), crc32(img.materialize(off, len)))
+        << "range [" << off << ", +" << len << ")";
+  }
+  EXPECT_EQ(img.content_crc(), crc32(ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteImageFuzz,

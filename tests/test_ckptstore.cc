@@ -101,6 +101,29 @@ TEST(Chunker, KeysAreStableAcrossIdenticalImages) {
   }
 }
 
+TEST(Chunker, PatternSpanCrcMatchesMaterializedBytes) {
+  ByteImage img(4 * kChunk);
+  img.fill(kChunk + 3, 2 * kChunk + 1, ExtentKind::kRand, 0xC0FFEE);
+  // CDC cuts at pattern extent edges, so the kRand span starts at an odd
+  // offset and both zero spans have odd lengths.
+  const auto spans =
+      ckptstore::scan_chunks_cdc(img, cdc_params(1024, 4096, 16 * 1024));
+  bool saw_odd_rand = false;
+  for (const auto& s : spans) {
+    const auto bytes = img.materialize(s.off, s.len);
+    EXPECT_EQ(ckptstore::span_crc(img, s), crc32(bytes)) << "span at " << s.off;
+    if (s.kind != ExtentKind::kRand || s.off % 2 == 0) continue;
+    saw_odd_rand = true;
+    ckptstore::Chunk c;
+    c.kind = s.kind;
+    c.len = s.len;
+    c.seed = s.seed;
+    c.pos = s.off;
+    EXPECT_EQ(c.materialize(compress::CodecKind::kNone), bytes);
+  }
+  EXPECT_TRUE(saw_odd_rand);
+}
+
 TEST(Chunker, RejectsBadChunkSizes) {
   ByteImage img(kChunk);
   EXPECT_DEATH(ckptstore::scan_chunks(img, 0), "power of two");

@@ -150,15 +150,80 @@ TEST(Crc32, KnownVector) {
   EXPECT_EQ(crc32(as_bytes_view(s)), 0xCBF43926u);
 }
 
-TEST(Crc32, IncrementalMatchesOneShot) {
-  std::vector<std::byte> data(1000);
-  Rng rng(7);
+// Bit-at-a-time CRC-32, independent of the library's tables.
+u32 reference_crc32(u32 crc, std::span<const std::byte> data) {
+  u32 c = ~crc;
+  for (std::byte b : data) {
+    c ^= static_cast<u32>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::byte> random_bytes(size_t n, u64 seed) {
+  std::vector<std::byte> data(n);
+  Rng rng(seed);
   for (auto& b : data) b = static_cast<std::byte>(rng.next_u64());
-  u32 inc = 0;
-  // Incremental over our table-based reflected CRC requires restart from
-  // scratch per chunk boundary behaviour — verify full == full.
-  inc = crc32_update(inc, std::span<const std::byte>(data).first(1000));
-  EXPECT_EQ(inc, crc32(data));
+  return data;
+}
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  const auto data = random_bytes(1000, 7);
+  const std::span<const std::byte> all(data);
+  const u32 whole = crc32(all);
+  ASSERT_EQ(whole, reference_crc32(0, all));
+  std::vector<size_t> splits;
+  for (size_t at = 0; at <= 64; ++at) splits.push_back(at);
+  Rng rng(11);
+  for (int i = 0; i < 64; ++i) {
+    splits.push_back(rng.next_below(data.size() + 1));
+  }
+  for (const size_t at : splits) {
+    EXPECT_EQ(crc32_update(crc32(all.first(at)), all.subspan(at)), whole)
+        << "split at " << at;
+    const size_t at2 = at + rng.next_below(data.size() - at + 1);
+    EXPECT_EQ(crc32_update(crc32_update(crc32(all.first(at)),
+                                        all.subspan(at, at2 - at)),
+                           all.subspan(at2)),
+              whole)
+        << "splits at " << at << ", " << at2;
+  }
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  const auto data = random_bytes(64 + 8, 3);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const auto s = std::span<const std::byte>(data).subspan(align, len);
+      EXPECT_EQ(crc32(s), reference_crc32(0, s))
+          << "align " << align << " len " << len;
+      EXPECT_EQ(crc32_update(0xDEADBEEFu, s), reference_crc32(0xDEADBEEFu, s))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, WordStepsAreLittleEndianBytes) {
+  Rng rng(5);
+  std::vector<u64> words(256);
+  std::vector<std::byte> bytes;
+  for (size_t i = 0; i < words.size(); ++i) {
+    words[i] = i == 0 ? 0 : rng.next_u64();
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<std::byte>(words[i] >> (8 * b)));
+    }
+  }
+  u32 crc = 0;
+  for (size_t i = 0; i < words.size(); ++i) {
+    crc = crc32_update_words(crc, 1, [&] { return words[i]; });
+    ASSERT_EQ(crc, reference_crc32(0, std::span(bytes).first(8 * (i + 1))))
+        << "word " << i;
+  }
+  size_t next = 0;
+  EXPECT_EQ(crc32_update_words(0xDEADBEEFu, words.size(),
+                               [&] { return words[next++]; }),
+            reference_crc32(0xDEADBEEFu, bytes));
+  EXPECT_EQ(crc32_update_words(7, 0, [] { return u64{1}; }), 7u);
 }
 
 TEST(Serialize, AllTypesRoundTrip) {
