@@ -140,7 +140,9 @@ StormRun run_storm(bool traced, int ranks, u64 lib_bytes, u64 priv_bytes,
 
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {
-    noisy.push_back(launch_app(w.host, n, "p" + std::to_string(n)));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    noisy.push_back(launch_app(w.host, n, tag));
   }
   const Pid victim = launch_app(w.guest, ranks, "victim");
   w.host.run_for(50 * timeconst::kMillisecond);
@@ -262,8 +264,9 @@ CoverageRun run_coverage(int ranks, u64 lib_bytes, u64 priv_bytes) {
   const std::string prof = apps::desktop_profiles().front().name;
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl->launch(n, "desktop_app",
-                                 {prof, "0", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl->launch(n, "desktop_app", {prof, "0", tag}));
   }
   w.ctl->run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {

@@ -143,7 +143,9 @@ ArmResult run_arm(bool storm, bool fair_queueing, int ranks, u64 lib_bytes,
 
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {
-    noisy.push_back(launch_app(w.host, n, "p" + std::to_string(n)));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    noisy.push_back(launch_app(w.host, n, tag));
   }
   const Pid victim = launch_app(w.guest, ranks, "victim");
   w.host.run_for(50 * timeconst::kMillisecond);
@@ -237,7 +239,9 @@ AdmissionResult run_admission(u64 lib_bytes, u64 priv_bytes) {
                 0xad31);
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {
-    noisy.push_back(launch_app(w.host, n, "p" + std::to_string(n)));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    noisy.push_back(launch_app(w.host, n, tag));
   }
   w.host.run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {

@@ -551,24 +551,19 @@ Task<void> client_handler(CoordState* st, sim::ProcessCtx* pctx, Fd fd) {
         auto& r = st->shared->stats.rounds.at(static_cast<size_t>(round));
         r.procs++;
         r.total_uncompressed += m->ua;
-        ByteReader br(m->blob);
-        const u64 written = br.get_u64();
-        r.total_compressed += written;
-        if (br.remaining() > 0) {
+        const ImageStats is = ImageStats::decode(m->blob);
+        r.total_compressed += is.written;
+        if (is.incremental) {
           // Incremental manifest exchange: managers additionally report
           // their delta against the chunk repository. The bytes written
           // are the delta (new chunks + manifest).
-          r.store_new_bytes += written;
-          r.total_chunks += br.get_u64();
-          r.new_chunks += br.get_u64();
-          r.store_dup_bytes += br.get_u64();
-          if (br.remaining() > 0) {
-            // Blob v2 (compressed-chunk + async extension).
-            r.store_new_chunk_bytes += br.get_u64();
-            r.store_raw_new_bytes += br.get_u64();
-            const u64 flags = br.get_u64();
-            if (flags & kImageFlagSkipped) r.async_skipped_procs++;
-          }
+          r.store_new_bytes += is.written;
+          r.total_chunks += is.total_chunks;
+          r.new_chunks += is.new_chunks;
+          r.store_dup_bytes += is.dup_bytes;
+          r.store_new_chunk_bytes += is.stored_new_bytes;
+          r.store_raw_new_bytes += is.raw_new_bytes;
+          if (is.flags & kImageFlagSkipped) r.async_skipped_procs++;
         }
         st->round_images[round][m->b].push_back(m->s);
         break;

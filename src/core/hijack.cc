@@ -29,128 +29,167 @@ std::string sanitize(std::string s) {
   return s;
 }
 
-/// Store phase of one async drain job: replays the synchronous incremental
-/// store sequence (lookups -> stores/heals -> device charges -> manifest ->
-/// GC drops) as a callback chain off the event loop, so the checkpoint
-/// barrier releases without waiting on any of it. Kept alive by the
-/// callbacks it registers. Most of them live in the DMTCP instance's own
-/// pipeline and store service, so the job must not own the instance: that
-/// cycle leaks it when a world is torn down mid-drain. The step the event
-/// loop calls back first checks that the instance is still there.
-struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
-  sim::Kernel* k = nullptr;
-  std::weak_ptr<DmtcpShared> shared;
-  ckptstore::ChunkStoreService* svc = nullptr;  // null: local-repo path
-  ckptstore::TenantId tenant = ckptstore::kDefaultTenant;
-  NodeId node = 0;
+/// A callback that runs `next` on its n-th call.
+std::function<void()> countdown(size_t n, std::function<void()> next) {
+  auto left = std::make_shared<size_t>(n);
+  return [left, next = std::move(next)] {
+    if (--*left == 0) next();
+  };
+}
+
+/// The incremental store drain of one checkpoint image, built once from
+/// the encoded delta. Both schedules run the same four steps: a
+/// synchronous round awaits each on the app thread, --ckpt-async chains
+/// them as callbacks off the event loop. Each step calls `next` once its
+/// traffic has landed. The async chain keeps the drain alive from
+/// callbacks that mostly live in the DMTCP instance's own pipeline and
+/// store service, so the drain must not own the instance: that cycle leaks
+/// it when a world is torn down mid-drain.
+struct StoreDrain {
+  using Next = std::function<void()>;
+
+  sim::Kernel* k;
+  ckptstore::ChunkStoreService* svc;  // null: local-repo path
+  ckptstore::TenantId tenant;
+  NodeId node;
   std::string path;
   std::vector<ckptstore::ChunkKey> probes;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> to_store;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
-  size_t fresh = 0;  // to_store[0..fresh) are new stores; the rest heals
-  u64 manifest_size = 0;
-  u64 submitted_bytes = 0;
-  std::function<void()> done;
-
-  int pending = 0;
+  size_t fresh;  // to_store[0..fresh) are new stores; the rest heals
+  u64 manifest_size;
+  u64 submitted_bytes;
   std::map<NodeId, u64> home_bytes;
 
-  void run() {
-    auto self = shared_from_this();
-    if (!svc) {
-      k->charge_storage_bg(node, path, submitted_bytes, /*is_read=*/false,
-                           [self] { self->gc_and_done(); });
-      return;
+  StoreDrain(sim::Kernel& kernel, DmtcpShared& sh, NodeId n,
+             std::string ckpt_path, mtcp::EncodedDelta& delta)
+      : k(&kernel),
+        svc(sh.store_service.get()),
+        tenant(sh.opts.tenant_id),
+        node(n),
+        path(std::move(ckpt_path)),
+        fresh(delta.stored_chunks.size()),
+        manifest_size(delta.manifest_bytes.size()),
+        submitted_bytes(delta.submitted_bytes) {
+    if (svc) {
+      svc->note_raw_bytes(delta.new_logical_bytes());
+      probes.reserve(delta.dup_chunks.size() + delta.stored_chunks.size());
+      for (const auto& [key, bytes] : delta.dup_chunks) {
+        probes.push_back(key);
+      }
+      for (const auto& [key, bytes] : delta.stored_chunks) {
+        probes.push_back(key);
+      }
+      DSIM_CHECK(probes.size() == delta.total_chunks);
     }
-    ckptstore::StoreRequest lk;
-    lk.op = ckptstore::StoreOp::kLookup;
-    lk.tenant = tenant;
-    lk.from = node;
-    lk.keys = probes;
-    lk.done = [self] { self->stores(); };
-    svc->submit(std::move(lk));
+    to_store = std::move(delta.stored_chunks);
+    dup_chunks = std::move(delta.dup_chunks);
   }
 
-  void stores() {
-    // Heal forward: dedup hits whose every replica died with its node are
-    // re-stored over the survivors (same rule as the synchronous path).
-    if (svc->placement().any_dead()) {
+  /// Every chunk submission is a Lookup RPC (hit or miss alike) routed to
+  /// its key's shard: the probes cross this node's NIC, pay the endpoint's
+  /// message CPU, and serialize on the shard queues, so N ranks' probes
+  /// contend the way the paper's coordinator/peer messages do (§4.3).
+  void lookup(Next next) {
+    if (!svc) return next();
+    ckptstore::StoreRequest req;
+    req.op = ckptstore::StoreOp::kLookup;
+    req.tenant = tenant;
+    req.from = node;
+    req.keys = std::move(probes);
+    req.done = std::move(next);
+    svc->submit(std::move(req));
+  }
+
+  /// New chunks go through the service queue and land on their placement
+  /// homes' devices (restart reads charge whichever home survives). Dedup
+  /// hits normally cost nothing, but a hit on a chunk whose every home
+  /// died with its node would pin permanently unrestorable data into this
+  /// generation's manifest, so those are re-stored over the survivors: the
+  /// store heals forward as generations land.
+  void store(Next next) {
+    if (!svc) return next();
+    if (svc->placement().any_dead()) {  // nothing can be lost otherwise
       std::set<ckptstore::ChunkKey> healed;
       for (const auto& [key, bytes] : dup_chunks) {
+        // lost(), not !available(): a dup hit on a key some rank's Store
+        // is still carrying this round is merely unrecorded, not lost.
+        // dup_chunks holds one entry per *reference* (shared zero chunks
+        // recur across segments), so heal each lost key once.
         if (svc->placement().lost(key) && healed.insert(key).second) {
           to_store.emplace_back(key, bytes);
         }
       }
     }
-    if (to_store.empty()) {
-      charges();
-      return;
-    }
-    auto self = shared_from_this();
-    pending = static_cast<int>(to_store.size());
-    auto one = [self] {
-      if (--self->pending == 0) self->charges();
-    };
+    if (to_store.empty()) return next();
+    auto one = countdown(to_store.size(), std::move(next));
     for (size_t i = 0; i < to_store.size(); ++i) {
       const auto& [key, bytes] = to_store[i];
-      ckptstore::StoreRequest st;
-      st.op = i < fresh ? ckptstore::StoreOp::kStore
-                        : ckptstore::StoreOp::kRestore;
-      st.tenant = tenant;
-      st.from = node;
-      st.keys = {key};
-      st.bytes = bytes;
-      st.done = one;
-      const auto reply = svc->submit(std::move(st));
+      ckptstore::StoreRequest req;
+      req.op = i < fresh ? ckptstore::StoreOp::kStore
+                         : ckptstore::StoreOp::kRestore;
+      req.tenant = tenant;
+      req.from = node;
+      req.keys = {key};
+      req.bytes = bytes;
+      req.done = one;
+      const auto reply = svc->submit(std::move(req));
       for (const auto& t : reply.targets) home_bytes[t.node] += t.bytes;
     }
   }
 
-  void charges() {
-    auto self = shared_from_this();
-    pending = static_cast<int>(home_bytes.size()) + 1;  // +1: the manifest
-    auto one = [self] {
-      if (--self->pending == 0) self->gc_and_done();
-    };
+  /// Each home's device write; without the service, the whole delta
+  /// (chunks and manifest) lands on this node.
+  void write_homes(Next next) {
+    if (!svc) {
+      k->charge_storage_bg(node, path, submitted_bytes, /*is_read=*/false,
+                           std::move(next));
+      return;
+    }
+    if (home_bytes.empty()) return next();
+    auto one = countdown(home_bytes.size(), std::move(next));
     for (const auto& [home, bytes] : home_bytes) {
       k->charge_storage_bg(home, path, bytes, /*is_read=*/false, one);
     }
-    k->charge_storage_bg(node, path, manifest_size, /*is_read=*/false, one);
   }
 
-  void gc_and_done() {
-    const auto sh = shared.lock();
-    if (!sh) return;
-    ckptstore::Repository& repo = sh->repo_for(node);
-    if (svc) {
-      std::vector<ckptstore::Repository::ReclaimedChunk> dead;
-      const u64 reclaimed =
-          repo.collect_garbage(sh->opts.keep_generations, &dead,
-                               ckptstore::tenant_prefix(tenant));
-      if (reclaimed > 0) {
-        for (const auto& rc : dead) {
-          ckptstore::StoreRequest dr;
-          dr.op = ckptstore::StoreOp::kDrop;
-          dr.tenant = tenant;
-          dr.from = node;
-          dr.keys = {rc.key};
-          dr.bytes = rc.bytes;
-          svc->submit(std::move(dr));
-          // One fragment per home (the full container at k = 1) — read
-          // before forget drops the entry.
-          const u64 per_home = svc->placement().home_charge(rc.key);
-          for (NodeId home : svc->placement().forget(rc.key)) {
-            k->discard_storage(home, path, per_home > 0 ? per_home : rc.bytes);
-          }
-        }
-      }
-    } else {
-      const u64 reclaimed = repo.collect_garbage(sh->opts.keep_generations);
+  /// Retention: drop generations beyond the keep window and trim the
+  /// reclaimed chunk bytes from the store devices. The scan is scoped to
+  /// this tenant's owner namespace, so each tenant applies its own
+  /// keep-last-N. The service takes one Drop RPC per reclaimed chunk and
+  /// the trim lands on each alive home that holds a fragment of it (the
+  /// full container at k = 1); without the service it lands on this node.
+  void collect_garbage(DmtcpShared& sh) {
+    ckptstore::Repository& repo = sh.repo_for(node);
+    if (!svc) {
+      const u64 reclaimed = repo.collect_garbage(sh.opts.keep_generations);
       if (reclaimed > 0) k->discard_storage(node, path, reclaimed);
+      return;
     }
-    done();
+    std::vector<ckptstore::Repository::ReclaimedChunk> dead;
+    repo.collect_garbage(sh.opts.keep_generations, &dead,
+                         ckptstore::tenant_prefix(tenant));
+    for (const auto& rc : dead) {
+      ckptstore::StoreRequest dr;
+      dr.op = ckptstore::StoreOp::kDrop;
+      dr.tenant = tenant;
+      dr.from = node;
+      dr.keys = {rc.key};
+      dr.bytes = rc.bytes;
+      svc->submit(std::move(dr));
+      // Read before forget drops the entry.
+      const u64 per_home = svc->placement().home_charge(rc.key);
+      for (NodeId home : svc->placement().forget(rc.key)) {
+        k->discard_storage(home, path, per_home);
+      }
+    }
   }
 };
+
+/// The synchronous schedule's awaited steps, in order.
+using DrainStep = void (StoreDrain::*)(StoreDrain::Next);
+constexpr DrainStep kDrainSteps[] = {&StoreDrain::lookup, &StoreDrain::store,
+                                     &StoreDrain::write_homes};
 
 }  // namespace
 
@@ -629,6 +668,19 @@ std::string Hijack::ckpt_path() const {
          upid_.str() + ".dmtcp";
 }
 
+Msg Hijack::image_stats_msg(int round, u64 uncompressed,
+                            const ImageStats& st) const {
+  Msg m;
+  m.type = MsgType::kImageStats;
+  m.upid = upid_;
+  m.a = round;
+  m.b = p_.node();
+  m.ua = uncompressed;
+  m.s = ckpt_path();
+  m.blob = st.encode();
+  return m;
+}
+
 Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
                                const ConnTable& table) {
   auto& k = ctx.kernel();
@@ -645,17 +697,10 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
   if (pipe != nullptr && pipe->busy(upid_.str())) {
     if (shared_->opts.async_backpressure == AsyncBackpressure::kSkip) {
       pipe->note_skip();
-      Msg stats;
-      stats.type = MsgType::kImageStats;
-      stats.upid = upid_;
-      stats.a = round;
-      stats.b = p_.node();
-      stats.ua = 0;
-      stats.s = ckpt_path();
-      ByteWriter bw;
-      for (int i = 0; i < 6; ++i) bw.put_u64(0);
-      bw.put_u64(kImageFlagAsync | kImageFlagSkipped);
-      stats.blob = bw.take();
+      ImageStats skipped;
+      skipped.incremental = true;
+      skipped.flags = kImageFlagAsync | kImageFlagSkipped;
+      const Msg stats = image_stats_msg(round, 0, skipped);
       co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
       co_return;
     }
@@ -712,10 +757,22 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     inode->data = sim::ByteImage(delta.manifest_bytes.size());
     inode->data.write(0, delta.manifest_bytes);
     inode->charged_size = delta.submitted_bytes;
+
+    ImageStats st;
+    st.written = delta.submitted_bytes;  // chunks + manifest actually written
+    st.incremental = true;
+    st.total_chunks = delta.total_chunks;
+    st.new_chunks = delta.new_chunks;
+    st.dup_bytes = delta.dup_chunk_bytes;
+    st.stored_new_bytes = delta.new_chunk_bytes;
+    st.raw_new_bytes = delta.new_logical_bytes();
+    const auto drain =
+        std::make_shared<StoreDrain>(k, *shared_, p_.node(), path, delta);
     if (pipe != nullptr) {
       // Hand the drain to the pipeline: chunk CPU, compress CPU (re-priced
-      // under --compress-bw and the codec's cost factor), then the same
-      // store sequence the synchronous path runs, as a callback chain.
+      // under --compress-bw and the codec's cost factor), then the drain's
+      // steps as a callback chain, so the checkpoint barrier releases
+      // without waiting on any of it.
       double compress_seconds = 0;
       if (shared_->opts.codec != compress::CodecKind::kNone) {
         // Zero-class input flies through the codec at the same zero:data
@@ -729,30 +786,6 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
              static_cast<double>(delta.new_logical_zero_bytes) /
                  (pipe->compress_bw() * zero_speedup));
       }
-      auto job = std::make_shared<AsyncStoreJob>();
-      job->k = &k;
-      job->shared = shared_;
-      job->svc = shared_->store_service.get();
-      job->tenant = shared_->opts.tenant_id;
-      job->node = p_.node();
-      job->path = path;
-      if (job->svc) {
-        job->probes.reserve(delta.dup_chunks.size() +
-                            delta.stored_chunks.size());
-        for (const auto& [key, bytes] : delta.dup_chunks) {
-          job->probes.push_back(key);
-        }
-        for (const auto& [key, bytes] : delta.stored_chunks) {
-          job->probes.push_back(key);
-        }
-      }
-      job->fresh = delta.stored_chunks.size();
-      job->to_store = std::move(delta.stored_chunks);
-      job->dup_chunks = std::move(delta.dup_chunks);
-      job->manifest_size = delta.manifest_bytes.size();
-      job->submitted_bytes = delta.submitted_bytes;
-      if (job->svc) job->svc->note_raw_bytes(delta.new_logical_bytes());
-
       ckptasync::JobSpec spec;
       spec.key = upid_.str();
       spec.node = p_.node();
@@ -764,9 +797,27 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       spec.raw_new_bytes = delta.new_logical_bytes();
       spec.compressed_new_bytes = delta.new_chunk_bytes;
       spec.segments = p_.mem().segments();
-      spec.store = [job](std::function<void()> done) {
-        job->done = std::move(done);
-        job->run();
+      spec.store = [drain, weak = std::weak_ptr<DmtcpShared>(shared_)](
+                       std::function<void()> done) {
+        // The event loop calls back into a world that may have been torn
+        // down mid-drain: GC and completion only run while it is there.
+        StoreDrain::Next gc = [drain, weak, done = std::move(done)] {
+          const auto sh = weak.lock();
+          if (!sh) return;
+          drain->collect_garbage(*sh);
+          done();
+        };
+        drain->lookup([drain, gc] {
+          drain->store([drain, gc] {
+            if (drain->svc == nullptr) return drain->write_homes(gc);
+            // The manifest write goes out alongside the home writes.
+            auto one = countdown(2, gc);
+            drain->write_homes(one);
+            drain->k->charge_storage_bg(drain->node, drain->path,
+                                        drain->manifest_size,
+                                        /*is_read=*/false, one);
+          });
+        });
       };
       // Held by the pipeline, which the instance owns: owning the instance
       // from here would be a cycle.
@@ -777,165 +828,30 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         r.background_done = std::max(r.background_done, kp->loop().now());
       };
       pipe->start(std::move(spec));
-
-      Msg stats;
-      stats.type = MsgType::kImageStats;
-      stats.upid = upid_;
-      stats.a = round;
-      stats.b = p_.node();
-      stats.ua = delta.virtual_uncompressed;
-      stats.s = path;
-      ByteWriter bw;
-      bw.put_u64(delta.submitted_bytes);
-      bw.put_u64(delta.total_chunks);
-      bw.put_u64(delta.new_chunks);
-      bw.put_u64(delta.dup_chunk_bytes);
-      bw.put_u64(delta.new_chunk_bytes);      // post-codec stored bytes
-      bw.put_u64(delta.new_logical_bytes());  // pre-codec chunked bytes
-      bw.put_u64(kImageFlagAsync);
-      stats.blob = bw.take();
-      co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
-      co_return;
-    }
-    if (svc) {
-      svc->note_raw_bytes(delta.new_logical_bytes());
-      // Remote chunk-store service: every chunk submission is a Lookup RPC
-      // (hit or miss alike) routed to its key's shard — the probes cross
-      // this node's NIC, pay the endpoint's message CPU, and serialize on
-      // the shard queues, so N ranks' probes contend the way the paper's
-      // coordinator/peer messages do (§4.3).
-      {
-        std::vector<ckptstore::ChunkKey> probes;
-        probes.reserve(delta.dup_chunks.size() + delta.stored_chunks.size());
-        for (const auto& [key, bytes] : delta.dup_chunks) {
-          probes.push_back(key);
-        }
-        for (const auto& [key, bytes] : delta.stored_chunks) {
-          probes.push_back(key);
-        }
-        DSIM_CHECK(probes.size() == delta.total_chunks);
-        auto lk = std::make_shared<sim::CountLatch>(1);
-        ckptstore::StoreRequest req;
-        req.op = ckptstore::StoreOp::kLookup;
-        req.tenant = shared_->opts.tenant_id;
-        req.from = p_.node();
-        req.keys = std::move(probes);
-        req.done = [lk] { lk->done_one(); };
-        svc->submit(std::move(req));
-        while (lk->remaining > 0) co_await lk->wq.wait(ctx.thread());
-      }
-      // Store phase: new chunks go through the service queue and land as
-      // R copies on their rendezvous-placement homes' devices (restart
-      // reads will charge whichever home survives). Dedup hits normally
-      // cost nothing — but a hit on a chunk whose every replica died with
-      // its node would pin permanently unrestorable data into this
-      // generation's manifest, so those are re-stored over the survivors:
-      // the store heals forward as generations land.
-      std::map<NodeId, u64> home_bytes;
-      const size_t fresh = delta.stored_chunks.size();
-      auto to_store = std::move(delta.stored_chunks);
-      if (svc->placement().any_dead()) {  // nothing can be lost otherwise
-        std::set<ckptstore::ChunkKey> healed;
-        for (const auto& [key, bytes] : delta.dup_chunks) {
-          // lost(), not !available(): a dup hit on a key some rank's
-          // Store is still carrying this round is merely unrecorded, not
-          // lost. dup_chunks holds one entry per *reference* (shared zero
-          // chunks recur across segments) — heal each lost key once.
-          if (svc->placement().lost(key) && healed.insert(key).second) {
-            to_store.emplace_back(key, bytes);
-          }
-        }
-      }
-      if (!to_store.empty()) {
-        auto st = std::make_shared<sim::CountLatch>(
-            static_cast<int>(to_store.size()));
-        for (size_t i = 0; i < to_store.size(); ++i) {
-          const auto& [key, bytes] = to_store[i];
-          ckptstore::StoreRequest req;
-          req.op = i < fresh ? ckptstore::StoreOp::kStore
-                             : ckptstore::StoreOp::kRestore;
-          req.tenant = shared_->opts.tenant_id;
-          req.from = p_.node();
-          req.keys = {key};
-          req.bytes = bytes;
-          req.done = [st] { st->done_one(); };
-          const auto reply = svc->submit(std::move(req));
-          for (const auto& t : reply.targets) home_bytes[t.node] += t.bytes;
-        }
-        while (st->remaining > 0) co_await st->wq.wait(ctx.thread());
-      }
-      if (!home_bytes.empty()) {
-        auto wr = std::make_shared<sim::CountLatch>(
-            static_cast<int>(home_bytes.size()));
-        for (const auto& [home, bytes] : home_bytes) {
-          k.charge_storage_bg(home, path, bytes, /*is_read=*/false,
-                              [wr] { wr->done_one(); });
-        }
-        while (wr->remaining > 0) co_await wr->wq.wait(ctx.thread());
+      st.flags = kImageFlagAsync;
+    } else {
+      // The synchronous round awaits each step on the app thread in turn,
+      // then writes the manifest after the homes, syncs, and collects
+      // garbage. The thread wake between steps and these orderings are
+      // part of the model: a callback chain, a concurrent manifest write or
+      // GC from the device callback would each move the timeline.
+      for (const DrainStep step : kDrainSteps) {
+        auto latch = std::make_shared<sim::CountLatch>(1);
+        const StoreDrain::Next wake = [latch] { latch->done_one(); };
+        ((*drain).*step)(wake);
+        while (latch->remaining > 0) co_await latch->wq.wait(ctx.thread());
       }
       // The manifest itself stays a file in this process's ckpt_dir.
-      co_await k.charge_storage(ctx.thread(), p_.node(), path,
-                                delta.manifest_bytes.size(),
-                                /*is_read=*/false);
-    } else {
-      co_await k.charge_storage(ctx.thread(), p_.node(), path,
-                                delta.submitted_bytes, /*is_read=*/false);
-    }
-    if (shared_->opts.sync == SyncMode::kSyncAfter) {
-      co_await k.sync_storage(ctx.thread(), p_.node(), path);
-    }
-    // Retention: drop generations beyond the keep window and trim the
-    // reclaimed chunk bytes from the store device. The service trims each
-    // dead chunk from the placement homes that actually hold it (one
-    // DropOwner-style metadata request through its queue); without the
-    // service the trim lands on the GC-triggering node's device.
-    if (svc) {
-      // Per-tenant retention: scope the GC pass to this tenant's owner
-      // namespace, so each tenant applies its own keep-last-N without
-      // touching the generations of tenants sharing the store.
-      std::vector<ckptstore::Repository::ReclaimedChunk> dead;
-      const u64 reclaimed = repo.collect_garbage(
-          shared_->opts.keep_generations, &dead,
-          ckptstore::tenant_prefix(shared_->opts.tenant_id));
-      if (reclaimed > 0) {
-        for (const auto& rc : dead) {
-          // One Drop RPC per reclaimed chunk, routed to the shard that
-          // owns the key; the trim lands on the placement homes that
-          // actually hold the copies.
-          ckptstore::StoreRequest dr;
-          dr.op = ckptstore::StoreOp::kDrop;
-          dr.tenant = shared_->opts.tenant_id;
-          dr.from = p_.node();
-          dr.keys = {rc.key};
-          dr.bytes = rc.bytes;
-          svc->submit(std::move(dr));
-          for (NodeId home : svc->placement().forget(rc.key)) {
-            k.discard_storage(home, path, rc.bytes);
-          }
-        }
+      if (svc) {
+        co_await k.charge_storage(ctx.thread(), p_.node(), path,
+                                  drain->manifest_size, /*is_read=*/false);
       }
-    } else {
-      const u64 reclaimed =
-          repo.collect_garbage(shared_->opts.keep_generations);
-      if (reclaimed > 0) k.discard_storage(p_.node(), path, reclaimed);
+      if (shared_->opts.sync == SyncMode::kSyncAfter) {
+        co_await k.sync_storage(ctx.thread(), p_.node(), path);
+      }
+      drain->collect_garbage(*shared_);
     }
-
-    Msg stats;
-    stats.type = MsgType::kImageStats;
-    stats.upid = upid_;
-    stats.a = round;
-    stats.b = p_.node();
-    stats.ua = delta.virtual_uncompressed;
-    stats.s = path;
-    ByteWriter bw;
-    bw.put_u64(delta.submitted_bytes);  // chunks + manifest actually written
-    bw.put_u64(delta.total_chunks);
-    bw.put_u64(delta.new_chunks);
-    bw.put_u64(delta.dup_chunk_bytes);  // logical bytes dedup answered
-    bw.put_u64(delta.new_chunk_bytes);      // post-codec stored bytes
-    bw.put_u64(delta.new_logical_bytes());  // pre-codec chunked bytes
-    bw.put_u64(0);                          // flags: synchronous drain
-    stats.blob = bw.take();
+    const Msg stats = image_stats_msg(round, delta.virtual_uncompressed, st);
     co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
     co_return;
   }
@@ -982,16 +898,9 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     }
   }
 
-  Msg stats;
-  stats.type = MsgType::kImageStats;
-  stats.upid = upid_;
-  stats.a = round;
-  stats.b = p_.node();
-  stats.ua = enc.virtual_uncompressed;
-  stats.s = path;
-  ByteWriter bw;
-  bw.put_u64(enc.virtual_compressed);
-  stats.blob = bw.take();
+  ImageStats st;
+  st.written = enc.virtual_compressed;
+  const Msg stats = image_stats_msg(round, enc.virtual_uncompressed, st);
   co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
 }
 

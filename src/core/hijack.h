@@ -84,6 +84,9 @@ class Hijack final : public sim::Interposer {
   Task<void> refill_all(sim::ProcessCtx& ctx, const ConnTable& table);
   Task<void> write_image(sim::ProcessCtx& ctx, int round,
                          const ConnTable& table);
+  /// The round's kImageStats report for this process's image.
+  Msg image_stats_msg(int round, u64 uncompressed,
+                      const ImageStats& st) const;
   Task<void> barrier(sim::ProcessCtx& ctx, const std::string& name,
                      int expected = 0);
   std::string ckpt_path() const;

@@ -31,16 +31,54 @@ enum class MsgType : u8 {
   kVpidCheck = 10,      // hijack -> coord: does vpid a collide? reply kVpidReply b=1 collision
   kVpidReply = 11,
   kVpidRegister = 12,   // hijack -> coord: vpid a now in use
-  kImageStats = 13,     // manager -> coord: ua=uncompressed, blob=8B compressed (round a)
+  kImageStats = 13,     // manager -> coord: round a, blob=ImageStats
   kStageNote = 14,      // restart -> coord: s=stage name, ua=duration ns (restart breakdown)
 };
 
-/// kImageStats incremental-blob flag word (7th u64, appended after
-/// [submitted][total_chunks][new_chunks][dup_bytes][stored_new][raw_new]).
-/// Older 4-u64 blobs simply omit the extension; the coordinator parses
-/// behind remaining() checks.
+/// ImageStats flag word.
 inline constexpr u64 kImageFlagAsync = 1;    // drained via --ckpt-async
 inline constexpr u64 kImageFlagSkipped = 2;  // round skipped (backpressure)
+
+/// The kImageStats blob: what one manager wrote in a round (the message
+/// also carries b=node, ua=uncompressed image bytes, s=image path). A full
+/// image sends only `written` (8 bytes); an incremental delta appends its
+/// chunk counts and the flag word (56 bytes). Message size is charged on
+/// the simulated network, so both sizes are part of the model.
+struct ImageStats {
+  u64 written = 0;  // full: the compressed image; incremental: the delta
+  bool incremental = false;
+  u64 total_chunks = 0;
+  u64 new_chunks = 0;
+  u64 dup_bytes = 0;         // logical bytes dedup answered
+  u64 stored_new_bytes = 0;  // post-codec stored bytes
+  u64 raw_new_bytes = 0;     // pre-codec chunked bytes
+  u64 flags = 0;             // kImageFlag*
+
+  std::vector<std::byte> encode() const {
+    ByteWriter w;
+    w.put_u64(written);
+    if (incremental) {
+      for (u64 v : {total_chunks, new_chunks, dup_bytes, stored_new_bytes,
+                    raw_new_bytes, flags}) {
+        w.put_u64(v);
+      }
+    }
+    return w.take();
+  }
+  static ImageStats decode(std::span<const std::byte> bytes) {
+    ByteReader r(bytes);
+    ImageStats s;
+    s.written = r.get_u64();
+    s.incremental = r.remaining() > 0;
+    if (s.incremental) {
+      for (u64* v : {&s.total_chunks, &s.new_chunks, &s.dup_bytes,
+                     &s.stored_new_bytes, &s.raw_new_bytes, &s.flags}) {
+        *v = r.get_u64();
+      }
+    }
+    return s;
+  }
+};
 
 struct Msg {
   MsgType type = MsgType::kRegister;

@@ -1,7 +1,8 @@
 // The async COW checkpoint pipeline (src/ckptasync/): app-visible pause
 // vs sync encode, backpressure policies (block and skip), COW page
-// accounting while the drain overlaps computation, manifest byte-identity
-// between sync and async rounds, and the new option surface.
+// accounting while the drain overlaps computation, byte-identical manifests,
+// store traffic and GC trims between sync and async rounds, and the new
+// option surface.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -141,6 +142,16 @@ TEST(CkptAsync, PauseBeatsSyncEncodeAndManifestsAreByteIdentical) {
   for (size_t i = 0; i < sync_manifests.size(); ++i) {
     EXPECT_EQ(async_manifests[i], sync_manifests[i]) << "manifest " << i;
   }
+  // Both schedules run the same drain, so the store sees the same traffic.
+  const auto& ss = sync_w.ctl.shared().store_service->stats();
+  const auto& as = async_w.ctl.shared().store_service->stats();
+  EXPECT_EQ(as.lookup_requests, ss.lookup_requests);
+  EXPECT_EQ(as.store_requests, ss.store_requests);
+  EXPECT_EQ(as.drop_requests, ss.drop_requests);
+  EXPECT_EQ(as.store_bytes, ss.store_bytes);
+  EXPECT_EQ(as.store_raw_bytes, ss.store_raw_bytes);
+  EXPECT_GT(ss.lookup_requests, 0u);
+  EXPECT_GT(ss.store_bytes, 0u);
 
   const auto& r = async_w.ctl.stats().rounds.back();
   EXPECT_GT(r.async_queued_bytes, 0u);
@@ -155,6 +166,41 @@ TEST(CkptAsync, PauseBeatsSyncEncodeAndManifestsAreByteIdentical) {
   EXPECT_FALSE(rr.needs_restore);
   EXPECT_EQ(rr.procs, 2);
   ASSERT_TRUE(async_w.run_until_results({"a", "b"}));
+}
+
+/// Device bytes GC trimmed, summed over every node, after three RS(2,1)
+/// rounds that keep one generation and re-dirty a quarter of a 1 MiB
+/// ballast each time.
+u64 trimmed_bytes_under_erasure(bool async) {
+  auto opts = async_opts(async);
+  opts.erasure_k = 2;
+  opts.erasure_m = 1;
+  opts.keep_generations = 1;
+  World w(4, opts);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 1024 * 1024, 0xAA);
+  sim::MemSegment* seg = w.k().find_process(pa)->mem().find("ballast");
+  const u64 quarter = 256 * 1024;
+  for (u64 gen = 0; gen < 3; ++gen) {
+    seg->data.fill(gen * quarter, quarter, sim::ExtentKind::kRand, 0xD0 + gen);
+    w.ctl.checkpoint_now();
+    EXPECT_TRUE(w.drain_pipeline());
+  }
+  u64 trimmed = 0;
+  for (int n = 0; n < w.k().num_nodes(); ++n) {
+    trimmed += w.k().node(n).storage().disk().total_discarded_bytes();
+  }
+  return trimmed;
+}
+
+TEST(CkptAsync, SyncAndAsyncDrainsTrimTheSameBytesUnderErasure) {
+  // GC trims one fragment per home, not the whole container: both drains
+  // must free what they wrote.
+  const u64 sync_trimmed = trimmed_bytes_under_erasure(false);
+  const u64 async_trimmed = trimmed_bytes_under_erasure(true);
+  EXPECT_GT(sync_trimmed, 0u);
+  EXPECT_EQ(sync_trimmed, async_trimmed);
 }
 
 TEST(CkptAsync, CompressedAndUncompressedRestartsAgree) {

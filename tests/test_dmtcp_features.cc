@@ -185,17 +185,22 @@ TEST(MultiGeneration, CheckpointRestartRepeatedly) {
 }
 
 TEST(SyncModes, SyncAfterCostsMoreThanNone) {
-  double none_s = 0, sync_s = 0;
-  for (const bool sync : {false, true}) {
-    DmtcpOptions opts;
-    opts.sync = sync ? core::SyncMode::kSyncAfter : core::SyncMode::kNone;
-    World w(1, opts);
-    w.ctl.launch(0, "compute_loop", {"4000", "500", "sy"});
-    w.ctl.run_for(20 * timeconst::kMillisecond);
-    const double t = w.ctl.checkpoint_now().total_seconds();
-    (sync ? sync_s : none_s) = t;
+  // Full images and incremental deltas alike: the incremental store runs
+  // --sync after between its device writes and GC.
+  for (const bool incremental : {false, true}) {
+    double none_s = 0, sync_s = 0;
+    for (const bool sync : {false, true}) {
+      DmtcpOptions opts;
+      opts.incremental = incremental;
+      opts.sync = sync ? core::SyncMode::kSyncAfter : core::SyncMode::kNone;
+      World w(1, opts);
+      w.ctl.launch(0, "compute_loop", {"4000", "500", "sy"});
+      w.ctl.run_for(20 * timeconst::kMillisecond);
+      const double t = w.ctl.checkpoint_now().total_seconds();
+      (sync ? sync_s : none_s) = t;
+    }
+    EXPECT_GT(sync_s, none_s) << "incremental=" << incremental;
   }
-  EXPECT_GT(sync_s, none_s);
 }
 
 TEST(Syslog, WrappersRecordMessages) {

@@ -557,8 +557,9 @@ void add_ballast(World& w, Pid pid, u64 bytes, u64 seed) {
 core::CkptRound contended_round(World& w, int ranks, u64 ballast) {
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl.launch(n, kComputeLoop,
-                                {"1000000", "200", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl.launch(n, kComputeLoop, {"1000000", "200", tag}));
   }
   w.ctl.run_for(20 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {
