@@ -1,10 +1,15 @@
 // Micro-benchmarks of the substrate (google-benchmark): compressor
-// throughput by content class, sparse ByteImage operations, kRand pattern
-// synthesis, event-loop dispatch, CRC32. These are host-side costs, not
-// virtual-time results.
+// throughput by content class and per codec stage, sparse ByteImage
+// operations, kRand pattern synthesis, event-loop dispatch, CRC32. These
+// are host-side costs, not virtual-time results.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "compress/compressor.h"
+#include "compress/huffman.h"
+#include "compress/lz77.h"
 #include "util/serialize.h"
 #include "sim/byte_image.h"
 #include "sim/event_loop.h"
@@ -55,6 +60,99 @@ void BM_GzipishRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GzipishRoundTrip);
+
+// Checkpoint-image-like bytes: 2 KiB slots of iterated doubles (the NAS
+// kernels' array update) between zero runs, about 57% zero like a
+// serialized mpi_nas image.
+std::vector<std::byte> make_image_like(size_t n) {
+  std::vector<std::byte> data(n);
+  Rng rng(43);
+  std::vector<double> v(256);
+  size_t off = 0;
+  while (off < n) {
+    off += 8 * rng.next_below(680);  // zero run
+    for (auto& x : v) {
+      x = x * 0.75 + static_cast<double>(rng.next_below(256)) / 256.0;
+    }
+    const size_t len = std::min(n - std::min(off, n), v.size() * 8);
+    if (len > 0) std::memcpy(data.data() + off, v.data(), len);
+    off += len;
+  }
+  return data;
+}
+
+// Inputs of the gzip-class pipeline's stages: the raw bytes, LZ77's token
+// stream (what the Huffman stage encodes) and its Huffman encoding.
+struct CodecStages {
+  std::vector<std::byte> raw, tokens, entropy;
+};
+
+CodecStages codec_stages(const std::string& kind) {
+  CodecStages s;
+  s.raw = kind == "image" ? make_image_like(192 << 10)
+                          : make_data(kind, 1 << 20);
+  s.tokens = compress::lz77_compress(s.raw);
+  s.entropy = compress::huffman_encode(s.tokens);
+  return s;
+}
+
+// Each stage alone. Throughput counts the stage's uncompressed side: raw
+// bytes for LZ77, token bytes for Huffman.
+void BM_Lz77Compress(benchmark::State& state, const std::string& kind) {
+  const auto s = codec_stages(kind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compress::lz77_compress(s.raw));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * s.raw.size()));
+}
+BENCHMARK_CAPTURE(BM_Lz77Compress, text, std::string("text"));
+BENCHMARK_CAPTURE(BM_Lz77Compress, image, std::string("image"));
+
+void BM_Lz77Decompress(benchmark::State& state, const std::string& kind) {
+  const auto s = codec_stages(kind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        compress::lz77_decompress(s.tokens, s.raw.size()));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * s.raw.size()));
+}
+BENCHMARK_CAPTURE(BM_Lz77Decompress, text, std::string("text"));
+BENCHMARK_CAPTURE(BM_Lz77Decompress, image, std::string("image"));
+
+void BM_HuffmanEncode(benchmark::State& state, const std::string& kind) {
+  const auto s = codec_stages(kind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compress::huffman_encode(s.tokens));
+  }
+  state.SetBytesProcessed(
+      static_cast<i64>(state.iterations() * s.tokens.size()));
+}
+BENCHMARK_CAPTURE(BM_HuffmanEncode, text, std::string("text"));
+BENCHMARK_CAPTURE(BM_HuffmanEncode, image, std::string("image"));
+
+void BM_HuffmanDecode(benchmark::State& state, const std::string& kind) {
+  const auto s = codec_stages(kind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compress::huffman_decode(s.entropy));
+  }
+  state.SetBytesProcessed(
+      static_cast<i64>(state.iterations() * s.tokens.size()));
+}
+BENCHMARK_CAPTURE(BM_HuffmanDecode, text, std::string("text"));
+BENCHMARK_CAPTURE(BM_HuffmanDecode, image, std::string("image"));
+
+// The whole container decode: Huffman, LZ77 and the CRC-32 check.
+void BM_GzipishDecompress(benchmark::State& state, const std::string& kind) {
+  const auto s = codec_stages(kind);
+  const auto& codec = compress::codec(compress::CodecKind::kGzipish);
+  const auto packed = codec.compress(s.raw);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.decompress(packed));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * s.raw.size()));
+}
+BENCHMARK_CAPTURE(BM_GzipishDecompress, text, std::string("text"));
+BENCHMARK_CAPTURE(BM_GzipishDecompress, image, std::string("image"));
 
 void BM_ByteImageWrite(benchmark::State& state) {
   sim::ByteImage img(64 << 20);

@@ -104,46 +104,62 @@ class RleCodec final : public Codec {
   }
 };
 
+/// Payload of a staged codec: [u8 1][prefix][encoded] when `encoded` plus
+/// the mode byte is smaller than the input, else [u8 0][input] (stored raw).
+std::vector<std::byte> staged(CodecKind kind, std::span<const std::byte> input,
+                              std::span<const std::byte> encoded,
+                              std::span<const std::byte> prefix = {}) {
+  ByteWriter w;
+  if (encoded.size() + 1 < input.size()) {
+    w.put_u8(1);
+    w.put_bytes(prefix);
+    w.put_bytes(encoded);
+  } else {
+    w.put_u8(0);
+    w.put_bytes(input);
+  }
+  return wrap(kind, input, w.take());
+}
+
+/// Inverse of `staged`; `decode(reader, orig_size)` inverts a mode-1 body.
+template <typename Decode>
+std::vector<std::byte> unstaged(CodecKind kind,
+                                std::span<const std::byte> container,
+                                Decode decode) {
+  const Header h = unwrap(container);
+  DSIM_CHECK(h.kind == kind);
+  ByteReader r(h.payload);
+  std::vector<std::byte> out;
+  if (r.get_u8() == 0) {
+    auto raw = r.get_bytes(r.remaining());
+    out.assign(raw.begin(), raw.end());
+  } else {
+    out = decode(r, h.orig_size);
+  }
+  verify(h, out);
+  return out;
+}
+
 class GzipishCodec final : public Codec {
  public:
   CodecKind kind() const override { return CodecKind::kGzipish; }
 
   std::vector<std::byte> compress(
       std::span<const std::byte> input) const override {
-    auto tokens = lz77_compress(input);
-    auto entropy = huffman_encode(tokens);
-    // Keep whichever representation is smaller; flag in first payload byte.
-    ByteWriter w;
-    if (entropy.size() + 1 < input.size()) {
-      w.put_u8(1);
-      w.put_u64(tokens.size());
-      w.put_bytes(entropy);
-    } else {
-      w.put_u8(0);  // incompressible; store raw
-      w.put_bytes(input);
-    }
-    auto payload = w.take();
-    return wrap(kind(), input, payload);
+    const auto tokens = lz77_compress(input);
+    ByteWriter token_size;
+    token_size.put_u64(tokens.size());
+    return staged(kind(), input, huffman_encode(tokens), token_size.bytes());
   }
 
   std::vector<std::byte> decompress(
       std::span<const std::byte> container) const override {
-    const Header h = unwrap(container);
-    DSIM_CHECK(h.kind == CodecKind::kGzipish);
-    ByteReader r(h.payload);
-    const u8 mode = r.get_u8();
-    std::vector<std::byte> out;
-    if (mode == 0) {
-      auto raw = r.get_bytes(r.remaining());
-      out.assign(raw.begin(), raw.end());
-    } else {
+    return unstaged(kind(), container, [](ByteReader& r, u64 orig_size) {
       const u64 token_size = r.get_u64();
       auto tokens = huffman_decode(r.get_bytes(r.remaining()));
       DSIM_CHECK_MSG(tokens.size() == token_size, "gzipish token size");
-      out = lz77_decompress(tokens, h.orig_size);
-    }
-    verify(h, out);
-    return out;
+      return lz77_decompress(tokens, orig_size);
+    });
   }
 };
 
@@ -153,34 +169,14 @@ class Lz77Codec final : public Codec {
 
   std::vector<std::byte> compress(
       std::span<const std::byte> input) const override {
-    auto tokens = lz77_compress(input);
-    ByteWriter w;
-    if (tokens.size() + 1 < input.size()) {
-      w.put_u8(1);
-      w.put_bytes(tokens);
-    } else {
-      w.put_u8(0);  // incompressible; store raw
-      w.put_bytes(input);
-    }
-    auto payload = w.take();
-    return wrap(kind(), input, payload);
+    return staged(kind(), input, lz77_compress(input));
   }
 
   std::vector<std::byte> decompress(
       std::span<const std::byte> container) const override {
-    const Header h = unwrap(container);
-    DSIM_CHECK(h.kind == CodecKind::kLz77);
-    ByteReader r(h.payload);
-    const u8 mode = r.get_u8();
-    std::vector<std::byte> out;
-    if (mode == 0) {
-      auto raw = r.get_bytes(r.remaining());
-      out.assign(raw.begin(), raw.end());
-    } else {
-      out = lz77_decompress(r.get_bytes(r.remaining()), h.orig_size);
-    }
-    verify(h, out);
-    return out;
+    return unstaged(kind(), container, [](ByteReader& r, u64 orig_size) {
+      return lz77_decompress(r.get_bytes(r.remaining()), orig_size);
+    });
   }
 };
 
@@ -190,34 +186,14 @@ class HuffmanCodec final : public Codec {
 
   std::vector<std::byte> compress(
       std::span<const std::byte> input) const override {
-    auto entropy = huffman_encode(input);
-    ByteWriter w;
-    if (entropy.size() + 1 < input.size()) {
-      w.put_u8(1);
-      w.put_bytes(entropy);
-    } else {
-      w.put_u8(0);  // incompressible (or tiny); store raw
-      w.put_bytes(input);
-    }
-    auto payload = w.take();
-    return wrap(kind(), input, payload);
+    return staged(kind(), input, huffman_encode(input));
   }
 
   std::vector<std::byte> decompress(
       std::span<const std::byte> container) const override {
-    const Header h = unwrap(container);
-    DSIM_CHECK(h.kind == CodecKind::kHuffman);
-    ByteReader r(h.payload);
-    const u8 mode = r.get_u8();
-    std::vector<std::byte> out;
-    if (mode == 0) {
-      auto raw = r.get_bytes(r.remaining());
-      out.assign(raw.begin(), raw.end());
-    } else {
-      out = huffman_decode(r.get_bytes(r.remaining()));
-    }
-    verify(h, out);
-    return out;
+    return unstaged(kind(), container, [](ByteReader& r, u64) {
+      return huffman_decode(r.get_bytes(r.remaining()));
+    });
   }
 };
 

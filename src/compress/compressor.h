@@ -6,6 +6,10 @@
 // Huffman entropy stage, CRC-32 verified container) so that reported
 // compressed sizes are measured, not modeled. An RLE codec and a null codec
 // exist for tests and ablations.
+//
+// Container bytes are a pinned format. Compressed sizes feed the modelled
+// write time of every checkpoint, so a speedup must leave every output
+// byte as it is; tests/test_compress.cc pins container CRCs.
 #pragma once
 
 #include <memory>

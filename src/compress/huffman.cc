@@ -4,7 +4,6 @@
 #include <array>
 #include <queue>
 
-#include "compress/bitstream.h"
 #include "util/assertx.h"
 #include "util/serialize.h"
 
@@ -72,7 +71,18 @@ std::array<u8, kAlphabet> code_lengths(std::array<u64, kAlphabet> freq) {
   DSIM_UNREACHABLE("huffman length limiting failed to converge");
 }
 
-/// Canonical code assignment from lengths (RFC 1951 style).
+/// Reverse bit order of `code` over `len` bits.
+u32 reverse_bits(u32 code, int len) {
+  u32 r = 0;
+  for (int i = 0; i < len; ++i) {
+    r = (r << 1) | ((code >> i) & 1);
+  }
+  return r;
+}
+
+/// Canonical code assignment from lengths (RFC 1951 style). We write
+/// LSB-first, so the canonical (MSB-first) codes are returned bit-reversed
+/// to stay prefix-decodable.
 std::array<u32, kAlphabet> canonical_codes(
     const std::array<u8, kAlphabet>& lengths) {
   std::array<u32, kAlphabet> codes{};
@@ -86,19 +96,19 @@ std::array<u32, kAlphabet> canonical_codes(
     next_code[bits] = code;
   }
   for (int s = 0; s < kAlphabet; ++s) {
-    if (lengths[s]) codes[s] = next_code[lengths[s]]++;
+    if (lengths[s]) {
+      codes[s] = reverse_bits(next_code[lengths[s]]++, lengths[s]);
+    }
   }
   return codes;
 }
 
-/// Reverse bit order of `code` over `len` bits. We write LSB-first, so
-/// canonical (MSB-first) codes are stored reversed to stay prefix-decodable.
-u32 reverse_bits(u32 code, int len) {
-  u32 r = 0;
-  for (int i = 0; i < len; ++i) {
-    r = (r << 1) | ((code >> i) & 1);
+u64 load_le64(const std::byte* p) {
+  u64 v = 0;
+  for (int k = 0; k < 8; ++k) {
+    v |= static_cast<u64>(static_cast<u8>(p[k])) << (8 * k);
   }
-  return r;
+  return v;
 }
 
 }  // namespace
@@ -108,66 +118,97 @@ std::vector<std::byte> huffman_encode(std::span<const std::byte> input) {
   for (std::byte b : input) freq[static_cast<u8>(b)]++;
   const auto lengths = code_lengths(freq);
   const auto codes = canonical_codes(lengths);
+  u64 total_bits = 0;
+  for (int s = 0; s < kAlphabet; ++s) total_bits += freq[s] * lengths[s];
 
   ByteWriter header;
   for (int s = 0; s < kAlphabet; ++s) header.put_u8(lengths[s]);
   header.put_u64(input.size());
+  std::vector<std::byte> out = header.take();
+  const size_t payload_at = out.size();
+  out.resize(payload_at + (total_bits + 7) / 8);
 
-  BitWriter bits;
+  // LSB-first bitstream (gzip convention), flushed 32 bits at a time from a
+  // 64-bit accumulator; codes are at most 15 bits, so it never overflows.
+  std::byte* dst = out.data() + payload_at;
+  u64 acc = 0;
+  int fill = 0;
   for (std::byte b : input) {
     const int s = static_cast<u8>(b);
-    bits.put_bits(reverse_bits(codes[s], lengths[s]), lengths[s]);
+    acc |= static_cast<u64>(codes[s]) << fill;
+    fill += lengths[s];
+    if (fill >= 32) {
+      for (int k = 0; k < 4; ++k) {
+        *dst++ = static_cast<std::byte>(acc >> (8 * k));
+      }
+      acc >>= 32;
+      fill -= 32;
+    }
   }
-  auto payload = bits.finish();
-  header.put_bytes(payload);
-  return header.take();
+  for (; fill > 0; fill -= 8, acc >>= 8) *dst++ = static_cast<std::byte>(acc);
+  return out;
 }
 
 std::vector<std::byte> huffman_decode(std::span<const std::byte> input) {
   ByteReader reader(input);
   std::array<u8, kAlphabet> lengths{};
-  for (int s = 0; s < kAlphabet; ++s) lengths[s] = reader.get_u8();
+  for (int s = 0; s < kAlphabet; ++s) {
+    lengths[s] = reader.get_u8();
+    DSIM_CHECK_MSG(lengths[s] <= kMaxBits, "corrupt huffman stream");
+  }
   const u64 count = reader.get_u64();
   const auto codes = canonical_codes(lengths);
 
-  // Build a direct-indexed decode table over kMaxBits bits: each entry maps
-  // the next kMaxBits (LSB-first) to (symbol, length).
+  // Build a direct-indexed decode table over the longest code's bits: each
+  // entry maps the next `bits` (LSB-first) to (symbol, length); length 0
+  // marks a bit pattern no code starts with. Sized to the codes in use, not
+  // kMaxBits, it stays in L1 for the usual shallower codes.
   struct Entry {
-    i16 symbol = -1;
+    u8 symbol = 0;
     u8 len = 0;
   };
-  std::vector<Entry> table(static_cast<size_t>(1) << kMaxBits);
+  const int bits = *std::max_element(lengths.begin(), lengths.end());
+  std::vector<Entry> table(size_t{1} << bits);
   for (int s = 0; s < kAlphabet; ++s) {
     const int len = lengths[s];
     if (!len) continue;
-    const u32 rcode = reverse_bits(codes[s], len);
-    // All table slots whose low `len` bits equal rcode decode to s.
+    // All table slots whose low `len` bits equal the code decode to s.
     const u32 step = 1u << len;
-    for (u32 idx = rcode; idx < table.size(); idx += step) {
-      table[idx] = {static_cast<i16>(s), static_cast<u8>(len)};
+    for (u32 idx = codes[s]; idx < table.size(); idx += step) {
+      table[idx] = {static_cast<u8>(s), static_cast<u8>(len)};
     }
   }
+  const u64 mask = table.size() - 1;
 
-  std::vector<std::byte> out;
-  out.reserve(count);
-  // Bit-level scan with manual buffer (BitReader cannot peek past the end on
-  // the final symbols, so pad the accumulator with zeros).
+  // Every symbol takes at least one bit, and decoding may run at most
+  // kMaxBits into the zero padding past the end of the payload.
   auto payload = reader.get_bytes(reader.remaining());
+  const u64 payload_bits = static_cast<u64>(payload.size()) * 8;
+  DSIM_CHECK_MSG(count <= payload_bits + kMaxBits, "corrupt huffman stream");
+  std::vector<std::byte> out(count);
+
+  // acc holds `fill` unread bits (fill < 0 once decoding reads the zero
+  // padding); pos * 8 - fill bits have been consumed. Refills load 8 bytes
+  // (to at least 56 bits) while 8 remain, then byte by byte.
   u64 acc = 0;
   int fill = 0;
   size_t pos = 0;
   for (u64 i = 0; i < count; ++i) {
-    while (fill < kMaxBits && pos < payload.size()) {
-      acc |= static_cast<u64>(static_cast<u8>(payload[pos++])) << fill;
-      fill += 8;
+    if (fill < kMaxBits && payload.size() - pos >= 8) {
+      acc |= load_le64(payload.data() + pos) << fill;
+      pos += static_cast<size_t>(63 - fill) >> 3;
+      fill |= 56;
     }
-    const Entry e = table[acc & ((1u << kMaxBits) - 1)];
-    DSIM_CHECK_MSG(e.symbol >= 0 && e.len > 0 && e.len <= fill + kMaxBits,
-                   "corrupt huffman stream");
-    out.push_back(static_cast<std::byte>(e.symbol));
+    for (; fill < kMaxBits && pos < payload.size(); fill += 8) {
+      acc |= static_cast<u64>(static_cast<u8>(payload[pos++])) << fill;
+    }
+    const Entry e = table[acc & mask];
+    DSIM_CHECK_MSG(e.len > 0, "corrupt huffman stream");
+    out[i] = static_cast<std::byte>(e.symbol);
     acc >>= e.len;
     fill -= e.len;
   }
+  DSIM_CHECK_MSG(fill >= -kMaxBits, "corrupt huffman stream");
   return out;
 }
 

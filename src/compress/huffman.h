@@ -1,9 +1,9 @@
 // Order-0 canonical Huffman coder over the 256-byte alphabet.
 //
 // Code lengths are limited to 15 bits (length-limited via the simple
-// frequency-clamping iteration); the header stores 256 4-bit-packed...
-// actually 256 bytes of code lengths (small next to payloads). Canonical
-// assignment means the decoder can rebuild codes from lengths alone.
+// frequency-clamping iteration); the header stores 256 bytes of code
+// lengths (small next to payloads). Canonical assignment means the decoder
+// can rebuild codes from lengths alone.
 #pragma once
 
 #include <span>

@@ -5,7 +5,9 @@
 //   0x01 <varint len> <varint dist>           -- match (copy len from dist)
 // Matches may be self-overlapping (dist < len), which encodes runs; long
 // zero regions therefore collapse to a handful of bytes, reproducing gzip's
-// behaviour on the NAS/IS mostly-zero buckets (§5.4).
+// behaviour on the NAS/IS mostly-zero buckets (§5.4). Match decisions (hash,
+// chain order and bound, first-longest wins) are part of the pinned format
+// (see compressor.h): faster match finding must choose the same tokens.
 #pragma once
 
 #include <span>
