@@ -1,12 +1,15 @@
 // Micro-benchmarks of the substrate (google-benchmark): compressor
 // throughput by content class and per codec stage, sparse ByteImage
-// operations, kRand pattern synthesis, event-loop dispatch, CRC32. These
-// are host-side costs, not virtual-time results.
+// operations, kRand pattern synthesis, event-loop dispatch, CRC32, chunk
+// keying and CDC cutting. These are host-side costs, not virtual-time
+// results.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
 
+#include "ckptstore/cdc.h"
+#include "ckptstore/chunk.h"
 #include "compress/compressor.h"
 #include "compress/huffman.h"
 #include "compress/lz77.h"
@@ -229,6 +232,67 @@ void BM_ByteImageReadRand(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<i64>(state.iterations() * kSpan));
 }
 BENCHMARK(BM_ByteImageReadRand);
+
+// Real bytes with run-length structure (values 0..3, runs of 1..300), the
+// heap content of perfbench's store_restart workload.
+std::vector<std::byte> make_runs(size_t n) {
+  std::vector<std::byte> data(n);
+  Rng rng(44);
+  for (size_t i = 0; i < n;) {
+    const auto v = static_cast<std::byte>(rng.next_below(4));
+    for (size_t run = 1 + rng.next_below(300); run > 0 && i < n; --run) {
+      data[i++] = v;
+    }
+  }
+  return data;
+}
+
+// One 256 KiB real chunk keyed by content (both FNV-1a streams).
+void BM_ContentKey(benchmark::State& state) {
+  const auto data = make_runs(256 << 10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckptstore::content_key(data));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * data.size()));
+}
+BENCHMARK(BM_ContentKey);
+
+// A 4 MiB segment cut with store_restart's 16/64/256 KiB bounds. "runs" is
+// one real run-length extent; "mixed" folds zero and kRand fragments
+// shorter than min_bytes into it and adds two pattern extents that stand
+// alone. Throughput counts the whole segment.
+void BM_CdcCut(benchmark::State& state, ckptstore::ChunkingMode mode,
+               bool mixed) {
+  constexpr u64 kSeg = 4 << 20;
+  sim::ByteImage img(kSeg);
+  img.write(0, make_runs(kSeg));
+  if (mixed) {
+    Rng rng(45);
+    for (u64 off = 4096; off + 40000 < kSeg; off += 30000) {
+      img.fill(off, 1 + rng.next_below(8000),
+               rng.next_below(2) ? sim::ExtentKind::kZero
+                                 : sim::ExtentKind::kRand,
+               rng.next_u64());
+    }
+    img.fill(kSeg / 4, 300 << 10, sim::ExtentKind::kRand, 9);
+    img.fill(kSeg / 2, 200 << 10, sim::ExtentKind::kZero);
+  }
+  ckptstore::ChunkingParams p;
+  p.mode = mode;
+  p.min_bytes = 16 << 10;
+  p.avg_bytes = 64 << 10;
+  p.max_bytes = 256 << 10;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckptstore::scan_chunks_cdc(img, p));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * kSeg));
+}
+BENCHMARK_CAPTURE(BM_CdcCut, cdc/runs, ckptstore::ChunkingMode::kCdc, false);
+BENCHMARK_CAPTURE(BM_CdcCut, cdc/mixed, ckptstore::ChunkingMode::kCdc, true);
+BENCHMARK_CAPTURE(BM_CdcCut, fastcdc/runs, ckptstore::ChunkingMode::kFastCdc,
+                  false);
+BENCHMARK_CAPTURE(BM_CdcCut, fastcdc/mixed,
+                  ckptstore::ChunkingMode::kFastCdc, true);
 
 }  // namespace
 

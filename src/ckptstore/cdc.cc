@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "util/assertx.h"
 
@@ -42,69 +43,124 @@ void check_params(const ChunkingParams& p) {
                  "CDC average chunk size must be a power of two");
 }
 
-/// Cut a real/mixed run into content-defined spans. The gear hash
-/// `h = (h << 1) + gear[byte]` depends only on the last ~64 bytes, so a
-/// byte insertion perturbs cutpoints for at most one window before they
-/// resynchronize with the pre-insertion boundaries. The scan is strictly
-/// sequential, so the run is materialized in bounded windows — peak
-/// memory stays O(max_bytes) however large the run (the fixed scanner's
-/// property, preserved).
+/// Cuts a real/mixed run into content-defined spans as the run's bytes
+/// stream past (ByteImage::for_each_run: real bytes in place, short
+/// pattern fragments synthesized). The gear hash `h = (h << 1) +
+/// gear[byte]` is a u64, so after 64 bytes every older byte has been
+/// shifted out: h depends on the last 64 bytes only. That makes the cuts
+/// exact while skipping most of each chunk's first min_bytes, and a byte
+/// insertion perturbs cutpoints for at most one window before they
+/// resynchronize with the pre-insertion boundaries.
 ///
-/// Plain CDC tests one mask (avg - 1). FastCDC mode normalizes the size
-/// distribution with two: below the target a stricter mask (two extra
-/// bits → cuts 4x rarer) suppresses small chunks, above it a looser mask
-/// (two fewer bits → cuts 4x likelier) pulls the tail in before the hard
-/// max cut. Both masks are functions of window content and distance from
-/// the last cut only, so resynchronization is preserved.
-void cut_real_run(const ByteImage& img, u64 run_off, u64 run_len,
-                  const ChunkingParams& p, std::vector<ChunkSpan>& out) {
-  const auto& g = gear();
-  const bool normalized = p.mode == ChunkingMode::kFastCdc;
-  const u64 mask_pre =
-      normalized ? (p.avg_bytes * 4 - 1) : (p.avg_bytes - 1);
-  const u64 mask_post =
-      normalized ? (std::max<u64>(p.avg_bytes / 4, 1) - 1)
-                 : (p.avg_bytes - 1);
-  const u64 window = std::max<u64>(4 * p.max_bytes, 256 * 1024);
-  std::vector<std::byte> buf;
-  u64 buf_base = 0;  // run-relative offset buf[0] corresponds to
-  u64 start = 0;
-  u64 h = 0;
-  for (u64 i = 0; i < run_len; ++i) {
-    if (i >= buf_base + buf.size()) {
-      buf_base = i;
-      buf = img.materialize(run_off + i, std::min(window, run_len - i));
-    }
-    h = (h << 1) + g[static_cast<u8>(buf[i - buf_base])];
-    const u64 len = i + 1 - start;
-    const u64 mask = len < p.avg_bytes ? mask_pre : mask_post;
-    if (len >= p.max_bytes || (len >= p.min_bytes && (h & mask) == 0)) {
-      out.push_back(ChunkSpan{run_off + start, len, ExtentKind::kReal, 0});
-      start = i + 1;
-      h = 0;
+/// Each chunk runs in phases, by its length after the byte at hand:
+///   below min_bytes - 64   skipped (never read);
+///   below min_bytes        hashed, not tested;
+///   below avg_bytes        cut where h & mask_pre == 0;
+///   below max_bytes        cut where h & mask_post == 0;
+///   at max_bytes           cut.
+/// Plain CDC tests one mask (avg - 1) in both test phases. FastCDC mode
+/// normalizes the size distribution with two: below the target a stricter
+/// mask (two extra bits → cuts 4x rarer) suppresses small chunks, above it
+/// a looser mask (two fewer bits → cuts 4x likelier) pulls the tail in
+/// before the hard max cut. Both masks are functions of window content and
+/// distance from the last cut only, so resynchronization is preserved.
+class GearCutter {
+ public:
+  GearCutter(const ChunkingParams& p, u64 run_off, std::vector<ChunkSpan>& out)
+      : g_(gear().data()),
+        skip_(p.min_bytes > 64 ? p.min_bytes - 64 : 0),
+        min_(p.min_bytes),
+        avg_(p.avg_bytes),
+        max_(p.max_bytes),
+        start_(run_off),
+        out_(out) {
+    const bool normalized = p.mode == ChunkingMode::kFastCdc;
+    mask_pre_ = normalized ? p.avg_bytes * 4 - 1 : p.avg_bytes - 1;
+    mask_post_ =
+        normalized ? std::max<u64>(p.avg_bytes / 4, 1) - 1 : p.avg_bytes - 1;
+  }
+
+  void feed(std::span<const std::byte> run) {
+    const u8* p = reinterpret_cast<const u8*>(run.data());
+    const u8* const end = p + run.size();
+    // len_ counts the current chunk's bytes before *p; *p makes it len_+1.
+    while (p != end) {
+      const u64 avail = static_cast<u64>(end - p);
+      if (len_ + 1 >= max_) {
+        ++p;
+        cut(max_);
+      } else if (len_ < skip_) {
+        const u64 n = std::min(skip_ - len_, avail);
+        p += n;
+        len_ += n;
+      } else if (len_ + 1 < min_) {
+        const u64 n = std::min(min_ - 1 - len_, avail);
+        for (const u8* e = p + n; p != e; ++p) h_ = (h_ << 1) + g_[*p];
+        len_ += n;
+      } else {
+        const bool pre = len_ + 1 < avg_;
+        const u64 mask = pre ? mask_pre_ : mask_post_;
+        const u64 n = std::min((pre ? avg_ : max_) - 1 - len_, avail);
+        const u8* const from = p;
+        p = find_cut(p, p + n, mask);
+        len_ += static_cast<u64>(p - from);
+        if ((h_ & mask) == 0) cut(len_);
+      }
     }
   }
-  if (start < run_len) {
-    out.push_back(
-        ChunkSpan{run_off + start, run_len - start, ExtentKind::kReal, 0});
+
+  /// Emit the run's tail, which may be shorter than min_bytes.
+  void finish() {
+    if (len_ > 0) cut(len_);
   }
-}
+
+ private:
+  // Hash [p, e) into h_ up to and including the first byte after which
+  // h_ & mask == 0; return the position past the bytes hashed. Four bytes
+  // a step, so the loop test is paid once per four cut tests.
+  const u8* find_cut(const u8* p, const u8* const e, u64 mask) {
+    u64 h = h_;
+    const auto hit = [&](u8 b) {
+      h = (h << 1) + g_[b];
+      return (h & mask) == 0;
+    };
+    const auto stop = [&](const u8* at) {
+      h_ = h;
+      return at;
+    };
+    for (; e - p >= 4; p += 4) {
+      if (hit(p[0])) return stop(p + 1);
+      if (hit(p[1])) return stop(p + 2);
+      if (hit(p[2])) return stop(p + 3);
+      if (hit(p[3])) return stop(p + 4);
+    }
+    while (p != e) {
+      if (hit(*p++)) break;
+    }
+    return stop(p);
+  }
+
+  void cut(u64 len) {
+    out_.push_back(ChunkSpan{start_, len, ExtentKind::kReal, 0});
+    start_ += len;
+    len_ = 0;
+    h_ = 0;
+  }
+
+  const u64* const g_;
+  const u64 skip_, min_, avg_, max_;
+  u64 mask_pre_ = 0, mask_post_ = 0;
+  u64 start_;    // image offset of the current chunk
+  u64 len_ = 0;  // bytes of the current chunk consumed
+  u64 h_ = 0;
+  std::vector<ChunkSpan>& out_;
+};
 
 }  // namespace
 
 std::vector<ChunkSpan> scan_chunks_cdc(const ByteImage& img,
                                        const ChunkingParams& p) {
   check_params(p);
-  struct ExtView {
-    u64 off, len;
-    ExtentKind kind;
-    u64 seed;
-  };
-  std::vector<ExtView> exts;
-  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
-    exts.push_back({off, e.len, e.kind, e.seed});
-  });
-
   std::vector<ChunkSpan> out;
   // Pattern extents at least min_bytes long stand alone: their boundaries
   // are content-determined by definition (the content *is* the descriptor),
@@ -114,23 +170,28 @@ std::vector<ChunkSpan> scan_chunks_cdc(const ByteImage& img,
   u64 run_off = 0;   // start of the pending real/mixed run
   u64 run_len = 0;
   auto flush_run = [&] {
-    if (run_len > 0) cut_real_run(img, run_off, run_len, p, out);
+    if (run_len == 0) return;
+    GearCutter cutter(p, run_off, out);
+    img.for_each_run(run_off, run_len, [&](std::span<const std::byte> run) {
+      cutter.feed(run);
+    });
+    cutter.finish();
     run_len = 0;
   };
-  for (const auto& e : exts) {
+  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
     if (e.kind != ExtentKind::kReal && e.len >= p.min_bytes) {
       flush_run();
       // Descriptor spans, cut at max_bytes (tail may be short).
       for (u64 done = 0; done < e.len; done += p.max_bytes) {
         const u64 len = std::min<u64>(p.max_bytes, e.len - done);
-        out.push_back(ChunkSpan{e.off + done, len, e.kind, e.seed});
+        out.push_back(ChunkSpan{off + done, len, e.kind, e.seed});
       }
-      run_off = e.off + e.len;
-      continue;
+      run_off = off + e.len;
+      return;
     }
-    if (run_len == 0) run_off = e.off;
-    run_len = e.off + e.len - run_off;
-  }
+    if (run_len == 0) run_off = off;
+    run_len = off + e.len - run_off;
+  });
   flush_run();
   return out;
 }

@@ -13,6 +13,12 @@
 // or pseudo-random ballast) large enough to stand alone are cut exactly at
 // their extent boundaries and emitted as descriptor spans without ever
 // materializing; the rolling hash only runs over real/mixed byte runs.
+//
+// Cutpoints are a pinned format, as codec containers are (compressor.h):
+// together with the content keys (chunk.h) they decide dedup and where
+// each chunk is placed, so a faster cutter must place every cut where
+// this one does. tests/test_ckptstore.cc's ChunkGolden tests pin span
+// lists and keys, and check the cutter against a bytewise reference.
 #pragma once
 
 #include <string>
@@ -63,9 +69,11 @@ struct ChunkingParams {
 
 /// Split `img` into content-defined chunk spans. Pattern extents of at
 /// least `min_bytes` become descriptor spans cut at `max_bytes` (the last
-/// span of each pattern run may be short); real or mixed runs are
-/// materialized in bounded windows and cut by the rolling hash, with
-/// every span in [min_bytes, max_bytes] except each run's final tail,
+/// span of each pattern run may be short); real or mixed runs are cut by
+/// the rolling hash as ByteImage::for_each_run walks them — real bytes
+/// read in place, short pattern fragments synthesized into a bounded
+/// scratch buffer, nothing materialized — with every span in
+/// [min_bytes, max_bytes] except each run's final tail,
 /// which may be shorter than `min_bytes` — including mid-image, wherever
 /// a real run ends at a pattern-extent boundary. Aborts (DSIM_CHECK) on
 /// inconsistent params; user-facing validation lives in

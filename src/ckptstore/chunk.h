@@ -9,7 +9,8 @@
 // The sparse ByteImage representation is preserved end to end: a chunk that
 // falls entirely inside a zero or pseudo-random pattern extent is keyed and
 // stored as a descriptor — no materialization of Fig.-6-scale ballast — while
-// real and mixed ranges are materialized and hashed by content.
+// real and mixed ranges are hashed by content where their bytes live
+// (ByteImage::for_each_run), without a copy.
 #pragma once
 
 #include <memory>
@@ -48,7 +49,8 @@ struct ChunkKey {
   }
 };
 
-/// Hash real content into a key.
+/// Hash real content into a key: two independently seeded FNV-1a streams,
+/// advanced together in one pass. Keys are a pinned format (cdc.h).
 ChunkKey content_key(std::span<const std::byte> data);
 /// Synthetic key for an all-zero chunk of `len` bytes.
 ChunkKey zero_key(u64 len);
@@ -103,7 +105,7 @@ struct Chunk {
 
 /// One chunk-to-be of a segment scan, before repository lookup. `kind` is a
 /// pattern kind only when the chunk lies entirely inside one pattern
-/// extent; mixed or real ranges report kReal and are materialized.
+/// extent; mixed or real ranges report kReal and are hashed by content.
 struct ChunkSpan {
   u64 off = 0;
   u64 len = 0;
@@ -115,8 +117,9 @@ struct ChunkSpan {
 /// `chunk_bytes` must be a non-zero power of two.
 std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img, u64 chunk_bytes);
 
-/// Key for a scanned span (cheap for pattern spans; materializes and hashes
-/// real/mixed spans).
+/// Key for a scanned span: a descriptor key for pattern spans; for
+/// real/mixed spans content_key of the span's bytes, computed by walking
+/// the extents in place (equals content_key(img.materialize(off, len))).
 ChunkKey span_key(const sim::ByteImage& img, const ChunkSpan& s);
 
 /// CRC-32 of a span's virtual content, computed without materializing it

@@ -247,6 +247,10 @@ const Codec& codec(CodecKind kind) {
   DSIM_UNREACHABLE("unknown codec");
 }
 
+u32 container_crc(std::span<const std::byte> container) {
+  return unwrap(container).crc;
+}
+
 double measure_ratio(CodecKind kind, std::span<const std::byte> sample) {
   if (sample.empty()) return 1.0;
   const auto out = codec(kind).compress(sample);

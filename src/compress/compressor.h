@@ -64,6 +64,11 @@ class Codec {
 /// Singleton accessor for a codec implementation.
 const Codec& codec(CodecKind kind);
 
+/// CRC-32 of the original data a container holds, read from its header:
+/// every codec's container checksums its uncompressed input, so a caller
+/// that just compressed some bytes need not CRC them again.
+u32 container_crc(std::span<const std::byte> container);
+
 /// Measured compression ratio (compressed/original) of a data sample under
 /// `kind`. Used to extrapolate sizes of pattern (ballast) extents from a
 /// materialized sample. Returns 1.0 for empty input.

@@ -167,19 +167,12 @@ EncodedDelta encode_incremental(const ProcessImage& img,
     sm.backing_path = seg.backing_path;
     sm.size = seg.data.size();
     for (const auto& span : ckptstore::scan_chunks_with(seg.data, chunking)) {
-      // Real/mixed spans materialize once here; key, CRC and codec all
-      // reuse the same buffer. (The CDC scanner walks real bytes again in
-      // its own bounded windows to place cutpoints — charged below as the
-      // gear pass.) Pattern spans never materialize for keying.
-      std::vector<std::byte> content;
-      ckptstore::ChunkKey key;
-      if (span.kind == ExtentKind::kReal) {
-        content = seg.data.materialize(span.off, span.len);
-        key = ckptstore::content_key(content);
-        real_scanned_bytes += span.len;
-      } else {
-        key = ckptstore::span_key(seg.data, span);
-      }
+      // Keys read real bytes where they live (span_key walks the extents);
+      // only a span the repository lacks is materialized, once, for the
+      // codec. (The CDC scanner walks the same real bytes to place
+      // cutpoints — charged below as the gear pass.)
+      const ckptstore::ChunkKey key = ckptstore::span_key(seg.data, span);
+      if (span.kind == ExtentKind::kReal) real_scanned_bytes += span.len;
       ckptstore::ChunkRef ref;
       ref.key = key;
       ref.len = span.len;
@@ -196,8 +189,10 @@ EncodedDelta encode_incremental(const ProcessImage& img,
         c.seed = span.seed;
         c.pos = span.off;
         if (span.kind == ExtentKind::kReal) {
-          c.crc = crc32(content);
-          auto container = compress::codec(codec).compress(content);
+          auto container = compress::codec(codec).compress(
+              seg.data.materialize(span.off, span.len));
+          // The container header already holds the content's CRC-32.
+          c.crc = compress::container_crc(container);
           c.charged_bytes = container.size();
           c.stored = std::make_shared<const std::vector<std::byte>>(
               std::move(container));

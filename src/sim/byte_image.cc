@@ -146,35 +146,22 @@ void ByteImage::fill(u64 off, u64 len, ExtentKind kind, u64 seed) {
   replace_range(off, len, Extent{len, kind, seed, nullptr, 0});
 }
 
-template <typename Fn>
-void ByteImage::for_each_piece(u64 off, u64 len, Fn&& fn) const {
-  if (len == 0) return;
-  DSIM_CHECK_MSG(off + len <= size_, "ByteImage read out of range");
-  auto it = ext_.upper_bound(off);
-  DSIM_CHECK(it != ext_.begin());
-  --it;
-  for (u64 pos = off, end = off + len; pos < end; ++it) {
-    DSIM_CHECK(it != ext_.end());
-    const u64 in_ext = pos - it->first;
-    const u64 n = std::min<u64>(it->second.len - in_ext, end - pos);
-    fn(pos, it->second, in_ext, n);
-    pos += n;
+void ByteImage::synthesize(const Extent& ext, u64 pos,
+                           std::span<std::byte> out) {
+  if (ext.kind == ExtentKind::kRand) {
+    rand_fill(ext.seed, pos, out);
+  } else {
+    std::memset(out.data(), 0, out.size());
   }
 }
 
 void ByteImage::read(u64 off, std::span<std::byte> out) const {
   std::byte* p = out.data();
   const auto copy = [&](u64 pos, const Extent& ext, u64 in_ext, u64 n) {
-    switch (ext.kind) {
-      case ExtentKind::kReal:
-        std::memcpy(p, ext.data->data() + ext.data_off + in_ext, n);
-        break;
-      case ExtentKind::kZero:
-        std::memset(p, 0, n);
-        break;
-      case ExtentKind::kRand:
-        rand_fill(ext.seed, pos, std::span(p, n));
-        break;
+    if (ext.kind == ExtentKind::kReal) {
+      std::memcpy(p, ext.data->data() + ext.data_off + in_ext, n);
+    } else {
+      synthesize(ext, pos, std::span(p, n));
     }
     p += n;
   };

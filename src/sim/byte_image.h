@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "util/assertx.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -108,6 +109,17 @@ class ByteImage {
   /// but allocates nothing.
   u32 content_crc() const { return crc(0, size_); }
 
+  /// Bytes of the scratch buffer for_each_run synthesizes patterns into.
+  static constexpr u64 kRunScratch = 4096;
+  /// Visit [off, off+len) in order as contiguous read-only byte runs,
+  /// fn(std::span<const std::byte>), without copying real bytes: a real
+  /// piece arrives straight from its shared buffer, a zero or kRand piece
+  /// is synthesized into a kRunScratch-byte stack buffer and arrives in
+  /// runs of at most that size. A run is valid only during its call. The
+  /// concatenated runs equal materialize(off, len).
+  template <typename Fn>
+  void for_each_run(u64 off, u64 len, Fn&& fn) const;
+
   /// Visit extents in order: fn(offset, extent).
   template <typename Fn>
   void for_each_extent(Fn&& fn) const {
@@ -142,6 +154,9 @@ class ByteImage {
   // fn(pos, extent, offset of pos inside the extent, piece length).
   template <typename Fn>
   void for_each_piece(u64 off, u64 len, Fn&& fn) const;
+  // Write the content of a zero or kRand extent at absolute positions
+  // [pos, pos+out.size()) to `out`.
+  static void synthesize(const Extent& ext, u64 pos, std::span<std::byte> out);
   void notify(u64 off, u64 len) {
     if (observer_ != nullptr && len > 0) observer_->on_mutate(off, len);
   }
@@ -150,5 +165,40 @@ class ByteImage {
   std::map<u64, Extent> ext_;  // key: start offset; contiguous, no holes
   WriteObserver* observer_ = nullptr;  // not owned; never copied/moved
 };
+
+template <typename Fn>
+void ByteImage::for_each_piece(u64 off, u64 len, Fn&& fn) const {
+  if (len == 0) return;
+  DSIM_CHECK_MSG(off + len <= size_, "ByteImage read out of range");
+  auto it = ext_.upper_bound(off);
+  DSIM_CHECK(it != ext_.begin());
+  --it;
+  for (u64 pos = off, end = off + len; pos < end; ++it) {
+    DSIM_CHECK(it != ext_.end());
+    const u64 in_ext = pos - it->first;
+    const u64 n = std::min<u64>(it->second.len - in_ext, end - pos);
+    fn(pos, it->second, in_ext, n);
+    pos += n;
+  }
+}
+
+template <typename Fn>
+void ByteImage::for_each_run(u64 off, u64 len, Fn&& fn) const {
+  const auto visit = [&](u64 pos, const Extent& ext, u64 in_ext, u64 n) {
+    if (ext.kind == ExtentKind::kReal) {
+      fn(std::span<const std::byte>(ext.data->data() + ext.data_off + in_ext,
+                                    n));
+      return;
+    }
+    std::byte scratch[kRunScratch];
+    for (u64 done = 0; done < n;) {
+      const u64 k = std::min<u64>(kRunScratch, n - done);
+      synthesize(ext, pos + done, std::span(scratch, k));
+      fn(std::span<const std::byte>(scratch, k));
+      done += k;
+    }
+  };
+  for_each_piece(off, len, visit);
+}
 
 }  // namespace dsim::sim

@@ -127,6 +127,8 @@ void Kernel::process_exit(Process& p) {
   auto entries = p.fds().entries();
   p.fds().clear();
   for (auto& [fd, of] : entries) release_description(std::move(of));
+  // A zombie keeps only its exit status: free its memory now.
+  p.mem().clear();
   p.set_state(ProcState::kZombie);
   Process* parent = find_process(p.ppid());
   if (parent && parent->state() == ProcState::kRunning) {

@@ -2,6 +2,10 @@
 // std::vector reference model, plus copy-on-write and serialization.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "sim/byte_image.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -78,6 +82,29 @@ TEST(ByteImage, ResizeGrowsWithZeros) {
   EXPECT_EQ(img.materialize(4, 1)[0], std::byte{0xEE});
 }
 
+TEST(ByteImage, RunWalkReadsRealBytesInPlace) {
+  constexpr u64 kScratch = ByteImage::kRunScratch;
+  ByteImage img(5000 + 2 * kScratch + 1);
+  img.write(0, std::vector<std::byte>(5000, std::byte{0x5a}));
+  img.fill(5000, 2 * kScratch + 1, ExtentKind::kRand, 9);
+  const std::byte* real = nullptr;
+  img.for_each_extent([&](u64, const ByteImage::Extent& e) {
+    if (e.kind == ExtentKind::kReal) real = e.data->data() + e.data_off;
+  });
+  std::vector<std::pair<const std::byte*, u64>> runs;
+  img.for_each_run(10, img.size() - 10, [&](std::span<const std::byte> r) {
+    runs.emplace_back(r.data(), r.size());
+  });
+  // The real piece straight from its buffer, then the kRand piece in
+  // scratch-sized runs.
+  ASSERT_EQ(runs.size(), 4u);
+  EXPECT_EQ(runs[0].first, real + 10);
+  EXPECT_EQ(runs[0].second, 4990u);
+  EXPECT_EQ(runs[1].second, kScratch);
+  EXPECT_EQ(runs[2].second, kScratch);
+  EXPECT_EQ(runs[3].second, 1u);
+}
+
 class ByteImageFuzz : public ::testing::TestWithParam<u64> {};
 
 TEST_P(ByteImageFuzz, MatchesReferenceVector) {
@@ -131,9 +158,16 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
     ranges.emplace_back(off + 3, 3);
     ranges.emplace_back(off + 5, rng.next_below(e.len - 5));
   });
+  // The same ranges walked as byte runs concatenate to the same bytes.
   for (const auto& [off, len] : ranges) {
-    EXPECT_EQ(img.crc(off, len), crc32(img.materialize(off, len)))
+    const auto bytes = img.materialize(off, len);
+    EXPECT_EQ(img.crc(off, len), crc32(bytes))
         << "range [" << off << ", +" << len << ")";
+    std::vector<std::byte> walked;
+    img.for_each_run(off, len, [&](std::span<const std::byte> run) {
+      walked.insert(walked.end(), run.begin(), run.end());
+    });
+    EXPECT_EQ(walked, bytes) << "range [" << off << ", +" << len << ")";
   }
   EXPECT_EQ(img.content_crc(), crc32(ref));
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <span>
 
 #include "ckptstore/cdc.h"
 #include "ckptstore/chunk.h"
@@ -16,6 +18,8 @@
 #include "tests/testprogs.h"
 #include "tests/testutil.h"
 #include "util/crc32.h"
+#include "util/rng.h"
+#include "util/serialize.h"
 
 namespace dsim::test {
 namespace {
@@ -243,6 +247,252 @@ TEST(Cdc, RejectsInconsistentBounds) {
                "min <= avg <= max");
   EXPECT_DEATH(ckptstore::scan_chunks_cdc(img, cdc_params(1024, 3000, 16384)),
                "power of two");
+}
+
+// --- chunk golden pins -------------------------------------------------------
+//
+// Cutpoints and keys are a pinned format (cdc.h): keys drive dedup and
+// rendezvous placement, so a faster cutter or keyer must reproduce every
+// span and every key. Each case pins a CRC-32 over the (off, len, kind)
+// span list and one over the keys, for kCdc and kFastCdc.
+
+/// Seeded real bytes with run-length structure, the shape of a heap that
+/// compresses well.
+std::vector<std::byte> runs_bytes(u64 n, u64 seed) {
+  std::vector<std::byte> out(n);
+  Rng rng(seed);
+  for (u64 i = 0; i < n;) {
+    const auto v = static_cast<std::byte>(rng.next_below(4));
+    for (u64 run = 1 + rng.next_below(300); run > 0 && i < n; --run) {
+      out[i++] = v;
+    }
+  }
+  return out;
+}
+
+ByteImage real_image(std::vector<std::byte> bytes) {
+  ByteImage img(bytes.size());
+  img.write(0, bytes);
+  return img;
+}
+
+/// `bytes` written piece by piece (1..max_piece bytes each), so the real
+/// run spans many extents, as a restored heap's does.
+ByteImage split_image(const std::vector<std::byte>& bytes, u64 max_piece,
+                      Rng& rng) {
+  ByteImage img(bytes.size());
+  for (u64 off = 0; off < bytes.size();) {
+    const u64 len =
+        std::min<u64>(bytes.size() - off, 1 + rng.next_below(max_piece));
+    img.write(off, std::span(bytes).subspan(off, len));
+    off += len;
+  }
+  return img;
+}
+
+struct SpanPins {
+  u32 spans = 0;
+  u32 keys = 0;
+};
+
+SpanPins pins_of(const ByteImage& img, const ckptstore::ChunkingParams& p) {
+  ByteWriter sw, kw;
+  for (const auto& s : ckptstore::scan_chunks_cdc(img, p)) {
+    sw.put_u64(s.off);
+    sw.put_u64(s.len);
+    sw.put_u8(static_cast<u8>(s.kind));
+    ckptstore::span_key(img, s).serialize(kw);
+  }
+  return {crc32(sw.take()), crc32(kw.take())};
+}
+
+/// Check the pins of `img` cut with (min, avg, max) under both CDC modes.
+void expect_pins(const ByteImage& img, u64 min, u64 avg, u64 max,
+                 SpanPins cdc, SpanPins fastcdc) {
+  for (const auto mode :
+       {ckptstore::ChunkingMode::kCdc, ckptstore::ChunkingMode::kFastCdc}) {
+    const SpanPins want =
+        mode == ckptstore::ChunkingMode::kCdc ? cdc : fastcdc;
+    const SpanPins got = pins_of(img, cdc_params(min, avg, max, mode));
+    EXPECT_TRUE(got.spans == want.spans && got.keys == want.keys)
+        << "mode " << static_cast<int>(mode) << " (" << min << ", " << avg
+        << ", " << max << "): spans 0x" << std::hex << got.spans
+        << ", keys 0x" << got.keys;
+  }
+}
+
+TEST(ChunkGolden, RunLengthRealBytes) {
+  const auto img = real_image(runs_bytes(1 << 20, 7));
+  expect_pins(img, 2048, 8192, 32768, {0x8a79d1d5, 0x67878edc},
+              {0x244020a8, 0xbdda961d});
+  expect_pins(img, 16384, 65536, 262144, {0x9d5d89d5, 0xe602115d},
+              {0x9d5d89d5, 0xe602115d});
+}
+
+TEST(ChunkGolden, RandomRealBytes) {
+  expect_pins(real_image(pseudo_bytes(1 << 20, 11)), 2048, 8192, 32768,
+              {0x470163af, 0x2f5ef475}, {0xfa55284e, 0xa0f868af});
+}
+
+TEST(ChunkGolden, MixedImageFoldsShortPatternFragments) {
+  ByteImage img = real_image(runs_bytes(1 << 20, 13));
+  Rng rng(17);
+  for (u64 off = 1000; off + 40000 < img.size();
+       off += 20000 + rng.next_below(20000)) {
+    // Shorter than min_bytes: folded into the surrounding real run.
+    const auto kind = rng.next_below(2) ? ExtentKind::kZero : ExtentKind::kRand;
+    img.fill(off, 1 + rng.next_below(2000), kind, rng.next_u64());
+  }
+  // Long enough to stand alone as descriptor spans.
+  img.fill(300000, 50000, ExtentKind::kRand, 99);
+  img.fill(700000, 20000, ExtentKind::kZero);
+  expect_pins(img, 2048, 8192, 32768, {0xb868e13f, 0x7c48faaa},
+              {0x70c4636c, 0x5893b1ad});
+}
+
+TEST(ChunkGolden, RealRunSplitAcrossManyExtents) {
+  Rng rng(23);
+  const auto img = split_image(pseudo_bytes(1 << 20, 19), 5000, rng);
+  EXPECT_GT(img.extent_count(), 300u);
+  expect_pins(img, 2048, 8192, 32768, {0x4b99f31e, 0x28533b48},
+              {0x9a6696bc, 0x79ce7481});
+}
+
+TEST(ChunkGolden, SmallMinAndMinEqualsAvgEdges) {
+  // Run-length bytes, whose gear hash stalls inside long runs, then
+  // random bytes, which cut often.
+  auto bytes = runs_bytes(128 << 10, 29);
+  const auto tail = pseudo_bytes(128 << 10, 31);
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  const auto img = real_image(std::move(bytes));
+  // min < 64, min == 64, min == 65 (a skip of one byte), min == avg and
+  // min == max.
+  expect_pins(img, 16, 64, 256, {0x20850788, 0xb6d5b92f},
+              {0xf37f609e, 0xf4f7a26f});
+  expect_pins(img, 64, 256, 1024, {0x44cda7f8, 0xd8ba2157},
+              {0x853efe7f, 0xfbde6bdb});
+  expect_pins(img, 65, 128, 1024, {0xaad14242, 0x837af36c},
+              {0xf678e779, 0xaeda0df2});
+  expect_pins(img, 4096, 4096, 16384, {0xfe821369, 0x9c5213ae},
+              {0x69aacc66, 0xf52f3082});
+  expect_pins(img, 4096, 4096, 4096, {0x8a0fc55e, 0xfb47c973},
+              {0x8a0fc55e, 0xfb47c973});
+}
+
+// The bytewise cutter and two-pass keyer the zero-copy ones replaced, kept
+// here only as the reference they must match: every real run is
+// materialized whole and the gear hash tests every byte.
+std::vector<ckptstore::ChunkSpan> reference_scan(
+    const ByteImage& img, const ckptstore::ChunkingParams& p) {
+  std::array<u64, 256> g{};
+  u64 x = 0x9E3779B97F4A7C15ull;
+  for (auto& v : g) {
+    x += 0x9E3779B97F4A7C15ull;
+    u64 z = x;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    v = z ^ (z >> 31);
+  }
+  const bool normalized = p.mode == ckptstore::ChunkingMode::kFastCdc;
+  const u64 mask_pre = normalized ? p.avg_bytes * 4 - 1 : p.avg_bytes - 1;
+  const u64 mask_post =
+      normalized ? std::max<u64>(p.avg_bytes / 4, 1) - 1 : p.avg_bytes - 1;
+  std::vector<ckptstore::ChunkSpan> out;
+  const auto cut = [&](u64 run_off, u64 run_len) {
+    const auto buf = img.materialize(run_off, run_len);
+    u64 start = 0, h = 0;
+    for (u64 i = 0; i < run_len; ++i) {
+      h = (h << 1) + g[static_cast<u8>(buf[i])];
+      const u64 len = i + 1 - start;
+      const u64 mask = len < p.avg_bytes ? mask_pre : mask_post;
+      if (len >= p.max_bytes || (len >= p.min_bytes && (h & mask) == 0)) {
+        out.push_back({run_off + start, len, ExtentKind::kReal, 0});
+        start = i + 1;
+        h = 0;
+      }
+    }
+    if (start < run_len) {
+      out.push_back({run_off + start, run_len - start, ExtentKind::kReal, 0});
+    }
+  };
+  u64 run_off = 0, run_len = 0;
+  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+    if (e.kind != ExtentKind::kReal && e.len >= p.min_bytes) {
+      if (run_len > 0) cut(run_off, run_len);
+      run_len = 0;
+      for (u64 done = 0; done < e.len; done += p.max_bytes) {
+        out.push_back({off + done, std::min<u64>(p.max_bytes, e.len - done),
+                       e.kind, e.seed});
+      }
+      run_off = off + e.len;
+      return;
+    }
+    if (run_len == 0) run_off = off;
+    run_len = off + e.len - run_off;
+  });
+  if (run_len > 0) cut(run_off, run_len);
+  return out;
+}
+
+ckptstore::ChunkKey reference_content_key(std::span<const std::byte> data) {
+  const auto fnv = [&](u64 h) {
+    for (std::byte b : data) {
+      h ^= static_cast<u64>(b);
+      h *= 0x100000001B3ull;
+    }
+    return h;
+  };
+  return {fnv(0xCBF29CE484222325ull),
+          fnv(0x84222325CBF29CE4ull) ^ mix64(data.size())};
+}
+
+TEST(ChunkGolden, CutterAndKeysMatchBytewiseReference) {
+  Rng rng(0xD1FF);
+  // 16384 folds pattern fragments longer than ByteImage::kRunScratch into
+  // real runs, so they reach the cutter in several scratch runs.
+  const u64 kMins[] = {1, 16, 63, 64, 65, 512, 2048, 4096, 16384};
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    // Bounds: any min, a power-of-two avg at or above it, max >= avg.
+    const u64 min = kMins[rng.next_below(std::size(kMins))];
+    u64 avg = 1;
+    while (avg < min) avg <<= 1;
+    avg <<= rng.next_below(4);
+    const u64 max = avg * (1 + rng.next_below(4));
+    const auto mode = rng.next_below(2) ? ckptstore::ChunkingMode::kCdc
+                                        : ckptstore::ChunkingMode::kFastCdc;
+    const auto p = cdc_params(min, avg, max, mode);
+
+    // Real bytes (run-length or random, one extent or many) with pattern
+    // fragments of any length laid over them.
+    const u64 size = 1 + rng.next_below(160 << 10);
+    const auto bytes = rng.next_below(2) ? runs_bytes(size, rng.next_u64())
+                                         : pseudo_bytes(size, rng.next_u64());
+    ByteImage img = rng.next_below(2)
+                        ? real_image(bytes)
+                        : split_image(bytes, 1 + rng.next_below(9000), rng);
+    for (u64 n = rng.next_below(12); n > 0; --n) {
+      const u64 off = rng.next_below(size);
+      const u64 len = std::min<u64>(size - off, 1 + rng.next_below(3 * min));
+      const auto kind =
+          rng.next_below(2) ? ExtentKind::kZero : ExtentKind::kRand;
+      img.fill(off, len, kind, rng.next_u64());
+    }
+
+    const auto want = reference_scan(img, p);
+    const auto got = ckptstore::scan_chunks_cdc(img, p);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].off, want[i].off) << "span " << i;
+      ASSERT_EQ(got[i].len, want[i].len) << "span " << i;
+      ASSERT_EQ(got[i].kind, want[i].kind) << "span " << i;
+      if (got[i].kind != ExtentKind::kReal) continue;
+      ASSERT_EQ(ckptstore::span_key(img, got[i]),
+                reference_content_key(img.materialize(got[i].off,
+                                                      got[i].len)))
+          << "span " << i;
+    }
+  }
 }
 
 // --- dedup across generations ----------------------------------------------

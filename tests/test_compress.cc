@@ -93,6 +93,8 @@ TEST_P(RoundTrip, ExactRecovery) {
   const auto data = make_content(content, size, 0x5eed ^ size);
   const auto& c = codec(kind);
   const auto compressed = c.compress(data);
+  // The header's CRC is the one the chunk store records for new chunks.
+  EXPECT_EQ(container_crc(compressed), crc32(data));
   const auto out = c.decompress(compressed);
   ASSERT_EQ(out.size(), data.size());
   EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()));
