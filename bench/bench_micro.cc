@@ -1,8 +1,8 @@
 // Micro-benchmarks of the substrate (google-benchmark): compressor
 // throughput by content class and per codec stage, sparse ByteImage
 // operations, kRand pattern synthesis, event-loop dispatch, CRC32, chunk
-// keying and CDC cutting. These are host-side costs, not virtual-time
-// results.
+// keying, CDC cutting and exact-length socket I/O. These are host-side
+// costs, not virtual-time results.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +16,8 @@
 #include "util/serialize.h"
 #include "sim/byte_image.h"
 #include "sim/event_loop.h"
+#include "sim/kernel.h"
+#include "sim/pctx.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -293,6 +295,47 @@ BENCHMARK_CAPTURE(BM_CdcCut, fastcdc/runs, ckptstore::ChunkingMode::kFastCdc,
                   false);
 BENCHMARK_CAPTURE(BM_CdcCut, fastcdc/mixed,
                   ckptstore::ChunkingMode::kFastCdc, true);
+
+// One 48 KiB message (an MG halo) per iteration: write_exact in a process
+// on node 0, read_exact into a reused buffer in a process on node 1, over
+// one TCP connection. It covers both sides' copies, segmenting, flow
+// control and event dispatch. "zero" sends a fresh buffer's zero extent,
+// "real" real bytes; throughput counts message bytes.
+void BM_SocketExact(benchmark::State& state, bool real) {
+  constexpr u64 kMsg = 48 << 10;
+  constexpr u16 kPort = 7000;
+  sim::KernelConfig cfg;
+  cfg.num_nodes = 2;
+  sim::Kernel k(cfg);
+  sim::Program p;
+  p.name = "halo";
+  p.main = [&](sim::ProcessCtx& ctx) -> sim::Task<int> {
+    sim::MemSegment& buf = ctx.alloc("buf", sim::MemKind::kHeap, kMsg);
+    if (ctx.process().argv().at(0) == "recv") {
+      const Fd l = co_await ctx.socket();
+      const bool bound = co_await ctx.bind(l, kPort);
+      DSIM_CHECK(bound);
+      co_await ctx.listen(l);
+      const Fd fd = co_await ctx.accept(l);
+      while (true) {
+        co_await ctx.read_exact(fd, {&buf, 0}, kMsg, 0);
+        ctx.kernel().loop().stop();  // one message per iteration
+      }
+    }
+    if (real) buf.data.write(0, make_data("rand", kMsg));
+    const Fd fd = co_await ctx.socket();
+    const bool connected = co_await ctx.connect(fd, {1, kPort});
+    DSIM_CHECK(connected);
+    while (true) co_await ctx.write_exact(fd, {&buf, 0}, kMsg, 0);
+  };
+  k.programs().add(std::move(p));
+  k.spawn_process(1, "halo", {"recv"}, {});
+  k.spawn_process(0, "halo", {"send"}, {});
+  for (auto _ : state) k.loop().run();
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * kMsg));
+}
+BENCHMARK_CAPTURE(BM_SocketExact, zero, false);
+BENCHMARK_CAPTURE(BM_SocketExact, real, true);
 
 }  // namespace
 

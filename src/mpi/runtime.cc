@@ -185,8 +185,8 @@ Task<int> mpd_main(sim::ProcessCtx& ctx) {
     // Command loop on the current control connection.
     while (ctx.phase() == 4) {
       if (s.ctl_stage == 0) {
-        const bool open = co_await ctx.read_exact_or_eof(s.ctl, frame,
-                                                         kFrame, 0);
+        const bool open =
+            co_await ctx.read_exact(s.ctl, frame, kFrame, 0, /*eof_ok=*/true);
         if (!open) {  // client exited; serve the next control connection
           co_await ctx.close(s.ctl);
           s.ctl = kNoFd;
@@ -230,7 +230,7 @@ Task<int> mpd_main(sim::ProcessCtx& ctx) {
         default:
           DSIM_UNREACHABLE("mpd: bad control op");
       }
-      co_await ctx.write_exact_or_eof(s.ctl, frame, kFrame, 1);
+      co_await ctx.write_exact(s.ctl, frame, kFrame, 1, /*eof_ok=*/true);
       s.ctl_stage = 0;
       st.set(s);
     }
@@ -404,8 +404,8 @@ Task<int> orted_main(sim::ProcessCtx& ctx) {
   }
   while (true) {
     if (s.ctl_stage == 0) {
-      const bool open = co_await ctx.read_exact_or_eof(s.ctl, frame,
-                                                       kFrame, 0);
+      const bool open =
+          co_await ctx.read_exact(s.ctl, frame, kFrame, 0, /*eof_ok=*/true);
       if (!open) co_return 0;  // mpirun exited; orted's job is done
       s.ctl_stage = 1;
       st.set(s);
@@ -431,7 +431,7 @@ Task<int> orted_main(sim::ProcessCtx& ctx) {
     } else {
       ctx.store(frame, make_frame(kOpReply, 0, "pong"));
     }
-    co_await ctx.write_exact_or_eof(s.ctl, frame, kFrame, 1);
+    co_await ctx.write_exact(s.ctl, frame, kFrame, 1, /*eof_ok=*/true);
     s.ctl_stage = 0;
     st.set(s);
   }

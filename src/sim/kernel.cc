@@ -377,9 +377,9 @@ std::shared_ptr<OpenFile> Kernel::try_accept(TcpVNode& s) {
   return of;
 }
 
-Task<u64> Kernel::sock_send(Thread& t, TcpVNode& s,
-                            std::span<const std::byte> bytes, SegKind kind) {
-  DSIM_CHECK(!bytes.empty());
+template <typename Fill>
+Task<u64> Kernel::send_data(Thread& t, TcpVNode& s, u64 len, Fill fill) {
+  DSIM_CHECK(len > 0);
   while (s.send_q_bytes >= params::kSockSendBuf) {
     if (s.state != TcpVNode::State::kEstablished || s.peer.expired()) {
       co_return 0;  // EPIPE
@@ -390,15 +390,12 @@ Task<u64> Kernel::sock_send(Thread& t, TcpVNode& s,
     co_return 0;
   }
   const u64 room = params::kSockSendBuf - s.send_q_bytes;
-  const u64 n = std::min<u64>(room, bytes.size());
-  u64 queued = 0;
-  while (queued < n) {
+  const u64 n = std::min<u64>(room, len);
+  for (u64 queued = 0; queued < n;) {
     const u64 seg_n = std::min<u64>(params::kTcpSegmentBytes, n - queued);
-    SockSegment seg;
-    seg.kind = kind;
-    seg.bytes.assign(bytes.begin() + static_cast<ptrdiff_t>(queued),
-                     bytes.begin() + static_cast<ptrdiff_t>(queued + seg_n));
-    s.send_q.push_back(std::move(seg));
+    auto& bytes = s.send_q.emplace_back().bytes;
+    bytes.reserve(seg_n);
+    fill(queued, seg_n, bytes);
     queued += seg_n;
   }
   s.send_q_bytes += n;
@@ -406,8 +403,25 @@ Task<u64> Kernel::sock_send(Thread& t, TcpVNode& s,
   co_return n;
 }
 
-Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
-  DSIM_CHECK(!out.empty());
+Task<u64> Kernel::sock_send(Thread& t, TcpVNode& s,
+                            std::span<const std::byte> bytes) {
+  return send_data(t, s, bytes.size(), [bytes](u64 from, u64 n, auto& seg) {
+    seg.assign(bytes.begin() + from, bytes.begin() + from + n);
+  });
+}
+
+Task<u64> Kernel::sock_send_from(Thread& t, TcpVNode& s, const ByteImage& src,
+                                 u64 off, u64 len) {
+  return send_data(t, s, len, [&src, off](u64 from, u64 n, auto& seg) {
+    src.for_each_run(off + from, n, [&seg](std::span<const std::byte> run) {
+      seg.insert(seg.end(), run.begin(), run.end());
+    });
+  });
+}
+
+template <typename Take>
+Task<u64> Kernel::recv_data(Thread& t, TcpVNode& s, u64 len, Take take) {
+  DSIM_CHECK(len > 0);
   while (s.recv_q.empty()) {
     if (s.peer_closed || s.state != TcpVNode::State::kEstablished) {
       co_return 0;  // EOF
@@ -417,13 +431,26 @@ Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
   SockSegment& front = s.recv_q.front();
   DSIM_CHECK_MSG(front.kind == SegKind::kData,
                  "user recv() reached a protocol segment");
-  const u64 n = std::min<u64>(out.size(), front.remaining());
-  std::memcpy(out.data(), front.bytes.data() + front.consumed, n);
+  const u64 n = std::min<u64>(len, front.remaining());
+  take(std::span<const std::byte>(front.bytes).subspan(front.consumed, n));
   front.consumed += n;
   s.recv_q_bytes -= n;
   if (front.remaining() == 0) s.recv_q.pop_front();
   if (auto p = s.peer.lock()) pump_socket(p);  // receive window opened
   co_return n;
+}
+
+Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
+  return recv_data(t, s, out.size(), [out](std::span<const std::byte> in) {
+    std::memcpy(out.data(), in.data(), in.size());
+  });
+}
+
+Task<u64> Kernel::sock_recv_into(Thread& t, TcpVNode& s, ByteImage& dst,
+                                 u64 off, u64 len) {
+  return recv_data(t, s, len, [&dst, off](std::span<const std::byte> in) {
+    dst.write(off, in);
+  });
 }
 
 Task<SockSegment> Kernel::sock_recv_segment(Thread& t, TcpVNode& s) {
@@ -433,16 +460,7 @@ Task<SockSegment> Kernel::sock_recv_segment(Thread& t, TcpVNode& s) {
     }
     co_await s.readable.wait(t);
   }
-  SockSegment seg = std::move(s.recv_q.front());
-  s.recv_q.pop_front();
-  if (seg.consumed > 0) {
-    seg.bytes.erase(seg.bytes.begin(),
-                    seg.bytes.begin() + static_cast<ptrdiff_t>(seg.consumed));
-    seg.consumed = 0;
-  }
-  s.recv_q_bytes -= seg.bytes.size();
-  if (auto p = s.peer.lock()) pump_socket(p);
-  co_return seg;
+  co_return *try_recv_segment(s);
 }
 
 Task<void> Kernel::sock_send_segment(Thread& t, TcpVNode& s, SockSegment seg) {

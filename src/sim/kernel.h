@@ -100,11 +100,18 @@ class Kernel {
   Task<std::shared_ptr<OpenFile>> sock_accept(Thread& t, TcpVNode& s);
   Task<bool> sock_connect(Thread& t, TcpVNode& s, SockAddr addr);
   /// Send up to `bytes.size()` (bounded by send-buffer space); blocks until
-  /// at least one byte can be queued. Returns bytes queued.
-  Task<u64> sock_send(Thread& t, TcpVNode& s, std::span<const std::byte> bytes,
-                      SegKind kind = SegKind::kData);
+  /// at least one byte can be queued. Returns bytes queued (0: EPIPE).
+  Task<u64> sock_send(Thread& t, TcpVNode& s, std::span<const std::byte> bytes);
+  /// sock_send of `src`'s [off, off+len), each segment filled straight from
+  /// the image once there is room, as POSIX write() reads its buffer.
+  Task<u64> sock_send_from(Thread& t, TcpVNode& s, const ByteImage& src,
+                           u64 off, u64 len);
   /// Receive data bytes; blocks until data or EOF (returns 0).
   Task<u64> sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out);
+  /// sock_recv into `dst` at `off`: one dst.write of min(len, the front
+  /// segment's unread bytes), straight from the segment.
+  Task<u64> sock_recv_into(Thread& t, TcpVNode& s, ByteImage& dst, u64 off,
+                           u64 len);
   /// Manager-plane: pop the next whole segment of any kind (drain protocol).
   Task<SockSegment> sock_recv_segment(Thread& t, TcpVNode& s);
   /// Manager-plane: push a whole segment (token / ctrl / refill payload).
@@ -177,6 +184,12 @@ class Kernel {
   }
 
  private:
+  // Bodies of sock_send*/sock_recv*: fill(from, n, bytes) fills each new
+  // segment; take(bytes) gets the bytes consumed from the front one.
+  template <typename Fill>
+  Task<u64> send_data(Thread& t, TcpVNode& s, u64 len, Fill fill);
+  template <typename Take>
+  Task<u64> recv_data(Thread& t, TcpVNode& s, u64 len, Take take);
   void pump_socket(std::shared_ptr<TcpVNode> s);
   void linger_poll(std::shared_ptr<TcpVNode> s);
   void process_exit(Process& p);

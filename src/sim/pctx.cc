@@ -8,7 +8,16 @@
 namespace dsim::sim {
 namespace {
 constexpr double kCpuChunkSeconds = 0.010;  // resumable compute granularity
+// Exact-I/O step cap. Each read step is one ByteImage::write, so the cap
+// shapes the extent layout checkpoint images serialize: a pinned format.
+constexpr u64 kExactChunk = 64 * 1024;
+
+TcpVNode* as_tcp(const OpenFile& of) {
+  return of.vnode->kind() == VKind::kTcp
+             ? static_cast<TcpVNode*>(of.vnode.get())
+             : nullptr;
 }
+}  // namespace
 
 // --- compute ----------------------------------------------------------------
 
@@ -165,8 +174,7 @@ Pid ProcessCtx::fcntl_getown(Fd fd) {
 
 TcpVNode* ProcessCtx::fd_tcp(Fd fd) {
   auto of = p_.fds().get(fd);
-  if (!of || of->vnode->kind() != VKind::kTcp) return nullptr;
-  return static_cast<TcpVNode*>(of->vnode.get());
+  return of ? as_tcp(*of) : nullptr;
 }
 
 Task<i64> ProcessCtx::read(Fd fd, std::span<std::byte> out) {
@@ -215,84 +223,72 @@ Task<i64> ProcessCtx::write(Fd fd, std::span<const std::byte> bytes) {
   }
 }
 
-Task<bool> ProcessCtx::read_exact_or_eof(Fd fd, MemRef buf, u64 len,
-                                         RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
+Task<bool> ProcessCtx::read_exact(Fd fd, MemRef buf, u64 len, RegSlot r,
+                                  bool eof_ok) {
+  const auto of = fd_get(fd);
+  DSIM_CHECK_MSG(of != nullptr, "read: bad fd");
+  TcpVNode* tcp = as_tcp(*of);
+  std::vector<std::byte> tmp(tcp ? 0 : std::min<u64>(len, kExactChunk));
   while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    const i64 n = co_await read(fd, std::span(tmp).first(want));
-    if (n <= 0) {
-      DSIM_CHECK_MSG(reg(r) == 0, "EOF mid-record");
-      co_return false;
+    const u64 want = std::min<u64>(kExactChunk, len - reg(r));
+    const u64 off = buf.off + reg(r);
+    u64 n = 0;
+    if (tcp != nullptr) {
+      n = co_await k_.sock_recv_into(t_, *tcp, buf.seg->data, off, want);
+    } else {
+      const auto chunk = std::span(tmp).first(want);
+      n = static_cast<u64>(co_await read(fd, chunk));
+      buf.seg->data.write(off, chunk.first(n));
     }
-    buf.seg->data.write(buf.off + reg(r),
-                        std::span<const std::byte>(tmp).first(
-                            static_cast<u64>(n)));
-    reg(r) += static_cast<u64>(n);
-  }
-  reg(r) = 0;
-  co_return true;
-}
-
-Task<bool> ProcessCtx::write_exact_or_eof(Fd fd, MemRef buf, u64 len,
-                                          RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
-  while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    buf.seg->data.read(buf.off + reg(r), std::span(tmp).first(want));
-    const i64 n =
-        co_await write(fd, std::span<const std::byte>(tmp).first(want));
-    if (n <= 0) {
-      reg(r) = 0;  // peer gone; record abandoned
-      co_return false;
-    }
-    reg(r) += static_cast<u64>(n);
-  }
-  reg(r) = 0;
-  co_return true;
-}
-
-Task<void> ProcessCtx::read_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
-  while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    const i64 n = co_await read(fd, std::span(tmp).first(want));
-    if (n <= 0) {
+    if (n == 0) {
+      if (eof_ok && reg(r) == 0) co_return false;
       std::fprintf(stderr, "read_exact fail: prog=%s pid=%d fd=%d\n",
                    p_.prog_name().c_str(), p_.pid(), fd);
     }
     DSIM_CHECK_MSG(n > 0, "read_exact: EOF mid-record");
-    buf.seg->data.write(buf.off + reg(r),
-                        std::span<const std::byte>(tmp).first(
-                            static_cast<u64>(n)));
-    reg(r) += static_cast<u64>(n);
+    reg(r) += n;
   }
-  DSIM_CHECK(reg(r) == len);
   reg(r) = 0;
+  co_return true;
 }
 
-Task<void> ProcessCtx::write_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
+Task<bool> ProcessCtx::write_exact(Fd fd, MemRef buf, u64 len, RegSlot r,
+                                   bool eof_ok) {
+  const auto of = fd_get(fd);
+  DSIM_CHECK_MSG(of != nullptr, "write: bad fd");
+  TcpVNode* tcp = as_tcp(*of);
+  std::vector<std::byte> tmp(tcp ? 0 : std::min<u64>(len, kExactChunk));
   while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    buf.seg->data.read(buf.off + reg(r), std::span(tmp).first(want));
-    const i64 n = co_await write(fd, std::span<const std::byte>(tmp).first(want));
-    if (n <= 0) {
+    const u64 want = std::min<u64>(kExactChunk, len - reg(r));
+    const u64 off = buf.off + reg(r);
+    u64 n = 0;
+    if (tcp != nullptr) {
+      n = co_await k_.sock_send_from(t_, *tcp, buf.seg->data, off, want);
+    } else {
+      const auto chunk = std::span(tmp).first(want);
+      buf.seg->data.read(off, chunk);
+      n = static_cast<u64>(co_await write(fd, chunk));
+    }
+    if (n == 0) {
+      if (eof_ok) {
+        reg(r) = 0;  // peer gone; record abandoned
+        co_return false;
+      }
       std::fprintf(stderr, "write_exact fail: prog=%s pid=%d fd=%d",
                    p_.prog_name().c_str(), p_.pid(), fd);
-      if (auto* v = fd_tcp(fd)) {
-        std::fprintf(stderr, " remote=%d:%u conn=%s", v->remote.node,
-                     v->remote.port, v->conn_id.str().c_str());
+      if (tcp != nullptr) {
+        std::fprintf(stderr, " remote=%d:%u conn=%s", tcp->remote.node,
+                     tcp->remote.port, tcp->conn_id.str().c_str());
       }
       std::fprintf(stderr, " argv0=%s arg3=%s\n",
                    p_.argv().empty() ? "" : p_.argv()[0].c_str(),
                    p_.argv().size() > 3 ? p_.argv()[3].c_str() : "");
     }
     DSIM_CHECK_MSG(n > 0, "write_exact: peer closed mid-record");
-    reg(r) += static_cast<u64>(n);
+    reg(r) += n;
   }
-  DSIM_CHECK(reg(r) == len);
   reg(r) = 0;
+  co_return true;
 }
 
 // --- sockets -----------------------------------------------------------------------

@@ -119,13 +119,15 @@ class ProcessCtx {
   Task<i64> write(Fd fd, std::span<const std::byte> bytes);
 
   /// Restart-safe exact-length I/O; `buf` in simulated memory, progress in
-  /// `reg` (reset to 0 on completion).
-  Task<void> read_exact(Fd fd, MemRef buf, u64 len, RegSlot reg);
-  Task<void> write_exact(Fd fd, MemRef buf, u64 len, RegSlot reg);
-  /// Like read/write_exact but tolerate a clean EOF at record boundary
-  /// (returns false). EOF mid-record still aborts — that is corruption.
-  Task<bool> read_exact_or_eof(Fd fd, MemRef buf, u64 len, RegSlot reg);
-  Task<bool> write_exact_or_eof(Fd fd, MemRef buf, u64 len, RegSlot reg);
+  /// `reg` (reset to 0 on completion), at most 64 KiB per step. A TCP step
+  /// copies once, straight between `buf`'s image and the socket's segments
+  /// (Kernel::sock_send_from / sock_recv_into). With `eof_ok`, a clean EOF
+  /// at a record boundary, or a gone peer on write (the record is
+  /// abandoned), returns false; EOF mid-record always aborts (corruption).
+  Task<bool> read_exact(Fd fd, MemRef buf, u64 len, RegSlot reg,
+                        bool eof_ok = false);
+  Task<bool> write_exact(Fd fd, MemRef buf, u64 len, RegSlot reg,
+                         bool eof_ok = false);
 
   // --- sockets -----------------------------------------------------------------------
   Task<Fd> socket(bool unix_domain = false);           // wrapped
