@@ -178,9 +178,9 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
   }
 
   // --- Connect to the coordinator (discovery service + barriers).
-  const Fd coord_fd = co_await ctx.socket_raw(false);
+  const Fd coord_fd = co_await ctx.socket();
   self.fds().get(coord_fd)->dmtcp_internal = true;
-  while (!co_await ctx.connect_raw(
+  while (!co_await ctx.connect(
       coord_fd, sim::SockAddr{args.coord_node, args.coord_port})) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }

@@ -1,12 +1,16 @@
 // Syscall interposition interface — the simulator's LD_PRELOAD.
 //
-// DMTCP injects dmtcphijack.so and overrides a small set of libc symbols
-// (§4.2 lists them: socket, connect, bind, listen, accept, setsockopt,
-// exec*, fork, close, dup2, socketpair, openlog, syslog, closelog, ptsname).
-// Here, a Process may carry an Interposer; ProcessCtx routes exactly those
-// calls through it. The default implementation is a transparent passthrough;
-// core::Hijack overrides to record connection metadata, promote pipes,
-// virtualize pids, and intercept remote spawns.
+// DMTCP injects dmtcphijack.so and wraps a small set of libc calls, each
+// only to record or virtualize something (§4.2). A Process may carry an
+// Interposer; ProcessCtx routes the five calls whose behaviour changes under
+// DMTCP through it: pipe (promoted to a socketpair, §4.5), fork/exec and ssh
+// (children join the computation, §3; virtual-pid conflicts re-fork, §4.5),
+// getpid and waitpid (virtual pids, §4.5) and accept (connections the drain
+// pre-accepted are handed out first). Every other call goes straight to the
+// kernel: the connection metadata DMTCP's socket wrappers record is read
+// from kernel state at checkpoint time (core::Hijack::build_conn_table).
+// core::Hijack is the only implementation; sim cannot name it, hence this
+// interface.
 #pragma once
 
 #include <map>
@@ -14,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/socket.h"
 #include "sim/task.h"
 #include "util/types.h"
 
@@ -29,30 +32,19 @@ class Interposer {
   /// Called once when the library is "injected" at process start, before the
   /// program's main thread runs. The hijack spawns its checkpoint manager
   /// thread here (§4.2).
-  virtual void on_attach() {}
+  virtual void on_attach() = 0;
   /// Called as the process exits (before fd teardown).
-  virtual void on_process_exit() {}
+  virtual void on_process_exit() = 0;
 
-  // Wrapped syscalls. Defaults forward to the raw kernel implementations.
-  virtual Task<Fd> wrap_socket(ProcessCtx& ctx, bool unix_domain);
-  virtual Task<bool> wrap_connect(ProcessCtx& ctx, Fd fd, SockAddr addr);
-  virtual Task<bool> wrap_bind(ProcessCtx& ctx, Fd fd, u16 port);
-  virtual Task<void> wrap_listen(ProcessCtx& ctx, Fd fd);
-  virtual Task<Fd> wrap_accept(ProcessCtx& ctx, Fd fd);
-  virtual Task<std::pair<Fd, Fd>> wrap_socketpair(ProcessCtx& ctx);
-  virtual Task<std::pair<Fd, Fd>> wrap_pipe(ProcessCtx& ctx);
+  // Wrapped syscalls. An implementation that needs the kernel's own call
+  // uses the matching ProcessCtx::*_raw variant, which bypasses this hook.
+  virtual Task<Fd> wrap_accept(ProcessCtx& ctx, Fd fd) = 0;
+  virtual Task<std::pair<Fd, Fd>> wrap_pipe(ProcessCtx& ctx) = 0;
   virtual Task<Pid> wrap_spawn(ProcessCtx& ctx, NodeId node, std::string prog,
                                std::vector<std::string> argv,
-                               std::map<std::string, std::string> env);
-  virtual Task<int> wrap_waitpid(ProcessCtx& ctx, Pid child);
-  virtual Task<void> wrap_close(ProcessCtx& ctx, Fd fd);
-  virtual Task<void> wrap_dup2(ProcessCtx& ctx, Fd oldfd, Fd newfd);
-  virtual Pid wrap_getpid(ProcessCtx& ctx);
-  virtual Task<std::pair<Fd, Fd>> wrap_openpty(ProcessCtx& ctx);
-  virtual std::string wrap_ptsname(ProcessCtx& ctx, Fd master);
-  virtual void wrap_openlog(ProcessCtx& ctx, std::string ident);
-  virtual void wrap_syslog(ProcessCtx& ctx, std::string msg);
-  virtual void wrap_closelog(ProcessCtx& ctx);
+                               std::map<std::string, std::string> env) = 0;
+  virtual Task<int> wrap_waitpid(ProcessCtx& ctx, Pid child) = 0;
+  virtual Pid wrap_getpid(ProcessCtx& ctx) = 0;
 };
 
 }  // namespace dsim::sim

@@ -60,7 +60,6 @@ struct Termios {
 /// Shared state of a pty master/slave pair.
 struct PtyPair {
   i32 id = -1;                 // N in /dev/pts/N
-  std::string slave_name;      // "/dev/pts/N"
   Termios termios;
   // master -> slave and slave -> master byte streams.
   std::deque<std::byte> to_slave;

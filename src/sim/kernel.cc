@@ -497,17 +497,6 @@ Kernel::make_socketpair(Process& p) {
   return {std::move(a), std::move(b)};
 }
 
-void Kernel::link_established(Process& pa, TcpVNode& a, Process& pb,
-                              TcpVNode& b) {
-  a.local = {pa.node(), node(pa.node()).alloc_ephemeral_port()};
-  b.local = {pb.node(), node(pb.node()).alloc_ephemeral_port()};
-  a.remote = b.local;
-  b.remote = a.local;
-  a.peer = b.shared_from_this();
-  b.peer = a.shared_from_this();
-  a.state = b.state = TcpVNode::State::kEstablished;
-}
-
 void Kernel::pump_socket(std::shared_ptr<TcpVNode> s) {
   if (s->state != TcpVNode::State::kEstablished && !s->lingering) return;
   auto peer = s->peer.lock();
@@ -587,7 +576,6 @@ std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>>
 Kernel::make_pty(Process& p) {
   auto pair = std::make_shared<PtyPair>();
   pair->id = node(p.node()).alloc_pty_id();
-  pair->slave_name = "/dev/pts/" + std::to_string(pair->id);
   auto master = std::make_shared<OpenFile>();
   master->vnode = std::make_shared<PtyVNode>(VKind::kPtyMaster, pair);
   master->description_id = next_description_id();

@@ -125,9 +125,6 @@ class Kernel {
   std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>>
   make_socketpair(Process& p);
   void on_socket_close(TcpVNode& s);
-  /// Register an established pair created outside connect/accept (restart
-  /// reconnection path uses normal connect; this is for tests).
-  void link_established(Process& pa, TcpVNode& a, Process& pb, TcpVNode& b);
 
   // --- pipes / ptys -------------------------------------------------------------
   std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>> make_pipe(

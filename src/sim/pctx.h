@@ -1,9 +1,11 @@
 // ProcessCtx: the syscall facade simulated programs run against.
 //
-// One ProcessCtx exists per (process, thread). Calls that DMTCP wraps are
-// routed through the process's Interposer when present — this is the
-// simulator's LD_PRELOAD boundary (§4.2). The `*_raw` variants bypass the
-// interposer; they are what the hijack library itself calls.
+// One ProcessCtx exists per (process, thread). The five calls DMTCP's
+// wrappers change (spawn/ssh, waitpid, getpid, accept, pipe) are routed
+// through the process's Interposer when present: the simulator's LD_PRELOAD
+// boundary (§4.2). Their `*_raw` variants bypass the interposer; they are
+// what the hijack library itself calls. Every other call goes straight to
+// the kernel.
 //
 // Restart-safe primitives: `read_exact` / `write_exact` / `cpu_chunked`
 // persist their progress in a ThreadContext register (`RegSlot`), and
@@ -76,7 +78,6 @@ class ProcessCtx {
   Task<int> waitpid(Pid child);  // wrapped: DMTCP translates virtual pids
   Task<int> waitpid_raw(Pid child) { return k_.wait_child(t_, child); }
   Pid getpid();        // wrapped: returns the virtual pid under DMTCP
-  Pid getpid_real() const { return p_.pid(); }
 
   /// Spawn an additional user thread running the program's worker entry.
   Tid spawn_thread(u32 role);
@@ -106,12 +107,7 @@ class ProcessCtx {
   // --- descriptors ----------------------------------------------------------------
   Task<Fd> open(const std::string& path, bool create = false,
                 bool truncate = false, bool append = false);
-  Task<void> close(Fd fd);      // wrapped
-  Fd dup(Fd fd);
-  Task<void> dup2(Fd oldfd, Fd newfd);  // wrapped
-  i64 lseek(Fd fd, i64 off, int whence);  // 0=SET 1=CUR 2=END
-  void fcntl_setown(Fd fd, Pid owner);
-  Pid fcntl_getown(Fd fd);
+  Task<void> close(Fd fd);
 
   /// Generic read/write dispatching on descriptor kind. Single attempt
   /// (may transfer fewer bytes than requested).
@@ -130,44 +126,28 @@ class ProcessCtx {
                          bool eof_ok = false);
 
   // --- sockets -----------------------------------------------------------------------
-  Task<Fd> socket(bool unix_domain = false);           // wrapped
-  Task<bool> bind(Fd fd, u16 port);                    // wrapped
-  Task<void> listen(Fd fd);                            // wrapped
+  Task<Fd> socket(bool unix_domain = false);
+  Task<bool> bind(Fd fd, u16 port);
+  Task<void> listen(Fd fd);
   Task<Fd> accept(Fd fd);                              // wrapped
-  Task<bool> connect(Fd fd, SockAddr addr);            // wrapped
-  Task<std::pair<Fd, Fd>> socketpair();                // wrapped
+  Task<bool> connect(Fd fd, SockAddr addr);
+  Task<std::pair<Fd, Fd>> socketpair();
   Task<std::pair<Fd, Fd>> pipe();                      // wrapped (promoted)
-  void setsockopt(Fd fd, int opt, int value);          // recorded by wrappers
 
   // --- terminals -----------------------------------------------------------------------
-  Task<std::pair<Fd, Fd>> openpty();                   // wrapped
-  std::string ptsname(Fd master);                      // wrapped
+  Task<std::pair<Fd, Fd>> openpty();
   Termios tcgetattr(Fd fd);
   void tcsetattr(Fd fd, const Termios& tio);
   void set_ctty(i32 pty_id) { p_.ctty() = pty_id; }
 
-  // --- syslog (wrapped per §4.2) ----------------------------------------------------------
-  void openlog(const std::string& ident);
-  void syslog(const std::string& msg);
-  void closelog();
-
   void exit(int code) { p_.request_exit(code); }
 
   // --- raw (interposer-bypassing) variants -----------------------------------------------
-  Task<Fd> socket_raw(bool unix_domain);
-  Task<bool> bind_raw(Fd fd, u16 port);
-  Task<void> listen_raw(Fd fd);
   Task<Fd> accept_raw(Fd fd);
-  Task<bool> connect_raw(Fd fd, SockAddr addr);
-  Task<std::pair<Fd, Fd>> socketpair_raw();
   Task<std::pair<Fd, Fd>> pipe_raw();
   Task<Pid> spawn_raw(NodeId node, const std::string& prog,
                       std::vector<std::string> argv,
                       std::map<std::string, std::string> env);
-  Task<void> close_raw(Fd fd);
-  Task<void> dup2_raw(Fd oldfd, Fd newfd);
-  Task<std::pair<Fd, Fd>> openpty_raw();
-  std::string ptsname_raw(Fd master);
 
   /// Resolve an fd to its description / vnode (kernel-plane helpers).
   std::shared_ptr<OpenFile> fd_get(Fd fd) { return p_.fds().get(fd); }

@@ -98,7 +98,6 @@ class FdTable {
   std::shared_ptr<OpenFile> get(Fd fd) const;
   /// Remove the entry; returns the description (callers run close logic).
   std::shared_ptr<OpenFile> remove(Fd fd);
-  bool contains(Fd fd) const { return map_.count(fd) != 0; }
 
   const std::map<Fd, std::shared_ptr<OpenFile>>& entries() const {
     return map_;

@@ -1,8 +1,8 @@
-// ASCII table / CSV emission for the benchmark harness.
+// ASCII table emission for the benchmark harness.
 //
 // Each bench binary regenerates one of the paper's tables or figures; the
 // figure benches print one row per data point (series are columns), so the
-// paper plot can be re-drawn from the CSV with any plotting tool.
+// paper plot can be re-drawn from the table with any plotting tool.
 #pragma once
 
 #include <string>
@@ -17,8 +17,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
   /// Render as an aligned ASCII table.
   std::string to_ascii() const;
-  /// Render as CSV (no quoting needed for our content).
-  std::string to_csv() const;
   /// Print ASCII to stdout with a title banner.
   void print(const std::string& title) const;
 

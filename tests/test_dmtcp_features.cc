@@ -1,9 +1,14 @@
 // Feature-level tests of the DMTCP layer: pid virtualization and the
-// fork-conflict re-fork, pipes/ptys/shm through checkpoint+restart,
-// dmtcpaware, interval checkpoints, restart-script round trip, forked
-// checkpointing correctness, multi-generation restarts.
+// fork-conflict re-fork, pipes/ptys/shm through checkpoint+restart, the
+// §4.5 read-only shared-memory rule, dmtcpaware, interval checkpoints,
+// restart-script round trip, forked checkpointing correctness,
+// multi-generation restarts.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "apps/app_util.h"
+#include "core/dmtcpaware.h"
 #include "core/launch.h"
 #include "core/restart_script.h"
 #include "sim/cluster.h"
@@ -34,6 +39,47 @@ struct World {
   }
 };
 
+// shm_probe <path> <result-name>: maps <path> shared and, on its first run,
+// stores kCkptWord in the mapping without touching the file (the simulated
+// mapping is a copy-on-write view). After a restart it reports the word its
+// restored mapping holds and exits.
+constexpr u64 kCkptWord = 0x1111111111111111ull;
+
+sim::Task<int> shm_probe_main(sim::ProcessCtx& ctx) {
+  const std::string path = apps::args(ctx, 0, "/shared/shm/probe");
+  const std::string result = apps::args(ctx, 1, "shm_probe");
+  if (!ctx.seg("shm:" + path)) ctx.mmap_shared(path, 4096);
+  const sim::MemRef word{ctx.seg("shm:" + path), 0};
+  if (!ctx.restored()) ctx.store<u64>(word, kCkptWord);
+  while (!ctx.restored()) co_await ctx.sleep(1 * timeconst::kMillisecond);
+  char out[32];
+  std::snprintf(out, sizeof out, "word=%016llx",
+                static_cast<unsigned long long>(ctx.load<u64>(word)));
+  co_await apps::write_result(ctx, result, out);
+  co_return 0;
+}
+
+// aware_ckpt <result-name>: asks for a checkpoint through dmtcpaware (§3.1)
+// and reports what the API returned. The caller is suspended with the rest
+// of the computation, so the round has completed when the call returns.
+sim::Task<int> aware_ckpt_main(sim::ProcessCtx& ctx) {
+  const std::string result = apps::args(ctx, 0, "aware_ckpt");
+  const int before = core::dmtcp_status(ctx).checkpoint_generation;
+  const bool requested = co_await core::dmtcp_request_checkpoint(ctx);
+  const core::DmtcpStatus st = core::dmtcp_status(ctx);
+  char out[96];
+  std::snprintf(out, sizeof out, "enabled=%d requested=%d gen=%d->%d vpid=%d",
+                st.enabled ? 1 : 0, requested ? 1 : 0, before,
+                st.checkpoint_generation, st.virtual_pid);
+  co_await apps::write_result(ctx, result, out);
+  co_return 0;
+}
+
+void register_local_programs(sim::Kernel& k) {
+  k.programs().add({"shm_probe", shm_probe_main, {}});
+  k.programs().add({"aware_ckpt", aware_ckpt_main, {}});
+}
+
 TEST(PipePromotion, PipeSurvivesCheckpointKillRestart) {
   World w(1);
   w.ctl.launch(0, kPipeChain, {"262144", "pipe1"});
@@ -57,6 +103,40 @@ TEST(SharedMemory, CountersConsistentAfterRestart) {
   ASSERT_TRUE(w.wait_result("shm1"));
   // Parent + child each increment 40 times through a token protocol.
   EXPECT_EQ(read_result(w.k(), "shm1"), "counter=80");
+}
+
+TEST(SharedMemory, ReadOnlyBackingFileMapsCurrentFileOnRestart) {
+  // §4.5: on restart, a shared mapping whose backing file is writable gets
+  // the checkpoint's bytes (written back to the file too); a read-only
+  // backing file is mapped as it is now, not as it was at the checkpoint.
+  const std::string path = "/shared/shm/probe";
+  constexpr u64 kFileWord = 0x2222222222222222ull;
+  for (const bool read_only : {false, true}) {
+    SCOPED_TRACE(read_only ? "read-only" : "writable");
+    World w(1);
+    register_local_programs(w.k());
+    w.ctl.launch(0, "shm_probe", {path, "probe"});
+    w.ctl.run_for(10 * timeconst::kMillisecond);
+    w.ctl.checkpoint_now();
+    w.ctl.kill_computation();
+    // The file changes between the checkpoint and the restart.
+    auto& fs = w.k().shared_fs();
+    const auto inode = fs.lookup(path);
+    ASSERT_NE(inode, nullptr);
+    inode->data.write(0, std::as_bytes(std::span(&kFileWord, 1)));
+    fs.set_read_only(path, read_only);
+    w.ctl.restart();
+    ASSERT_TRUE(w.wait_result("probe"));
+    const u64 mapped = read_only ? kFileWord : kCkptWord;
+    char want[32];
+    std::snprintf(want, sizeof want, "word=%016llx",
+                  static_cast<unsigned long long>(mapped));
+    EXPECT_EQ(read_result(w.k(), "probe"), want);
+    u64 file_word = 0;
+    fs.lookup(path)->data.read(
+        0, std::as_writable_bytes(std::span(&file_word, 1)));
+    EXPECT_EQ(file_word, mapped);
+  }
 }
 
 TEST(Pty, TermiosAndStreamSurviveRestart) {
@@ -113,6 +193,26 @@ TEST(Dmtcpaware, IntervalCheckpointsFire) {
                   w.k().loop().now() + 60 * timeconst::kSecond);
   EXPECT_GE(w.ctl.stats().rounds.size(), 3u);
   ASSERT_TRUE(w.wait_result("iv1"));
+}
+
+TEST(Dmtcpaware, RequestCheckpointFromInsideTheApp) {
+  World w(1);
+  register_local_programs(w.k());
+  w.ctl.launch(0, "aware_ckpt", {"aware"});
+  ASSERT_TRUE(w.wait_result("aware"));
+  EXPECT_EQ(read_result(w.k(), "aware"),
+            "enabled=1 requested=1 gen=0->1 vpid=101");
+  EXPECT_EQ(w.ctl.stats().rounds.size(), 1u);
+}
+
+TEST(Dmtcpaware, DegradesWithoutDmtcp) {
+  World w(1);
+  register_local_programs(w.k());
+  w.k().spawn_process(0, "aware_ckpt", {"plain"}, {}, kNoPid, nullptr);
+  ASSERT_TRUE(w.wait_result("plain"));
+  EXPECT_EQ(read_result(w.k(), "plain"),
+            "enabled=0 requested=0 gen=0->0 vpid=-1");
+  EXPECT_TRUE(w.ctl.stats().rounds.empty());
 }
 
 TEST(RestartScript, FormatParseRoundTrip) {
@@ -201,15 +301,6 @@ TEST(SyncModes, SyncAfterCostsMoreThanNone) {
     }
     EXPECT_GT(sync_s, none_s) << "incremental=" << incremental;
   }
-}
-
-TEST(Syslog, WrappersRecordMessages) {
-  World w(1);
-  const Pid pid = w.ctl.launch(0, kComputeLoop, {"50", "100", "sl"});
-  ASSERT_TRUE(w.wait_result("sl"));
-  // The syslog wrappers exist per §4.2; exercise them kernel-side.
-  sim::Process* p = w.k().find_process(pid);
-  ASSERT_NE(p, nullptr);
 }
 
 }  // namespace
