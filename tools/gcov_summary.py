@@ -5,7 +5,7 @@ Stdlib-only, and needs only `gcov` (no lcov or gcovr). Build with
 `-DCMAKE_CXX_FLAGS="--coverage -O0" -DCMAKE_EXE_LINKER_FLAGS=--coverage`,
 run whatever should count (ctest, benches, examples), then:
 
-    python3 tools/gcov_summary.py BUILD_DIR [--src-root DIR]
+    python3 tools/gcov_summary.py BUILD_DIR
 
 Each src/**/*.cc is reported once, from its own object's coverage data;
 headers are left out (every includer reports them). Files whose object
@@ -51,10 +51,9 @@ def gcov_lines(gcno):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("build_dir")
-    ap.add_argument("--src-root", default=os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))
     opts = ap.parse_args()
-    src = os.path.join(os.path.realpath(opts.src_root), "src") + os.sep
+    root = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+    src = os.path.join(root, "src") + os.sep
 
     rows = {}
     for root, _, files in os.walk(opts.build_dir):
